@@ -45,7 +45,7 @@ let () =
   print_endline "=== two seeded crashes, one per policy ===";
   let steps =
     (* the sweep executes exactly the non-input vertices *)
-    W.n_vertices work - Array.length work.W.inputs
+    W.n_vertices work - Array.length (W.inputs work)
   in
   let schedule = Sim.derive_failures ~procs ~steps ~fail:2 ~seed in
   List.iter

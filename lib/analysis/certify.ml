@@ -181,7 +181,7 @@ let run ?(jobs = 1) ?cdag ?segment_r ?max_flops ~cache_size (work : W.t)
       | _ -> (None, None, None))
   in
   {
-    workload = work.W.name;
+    workload = W.name work;
     cache_size;
     order_len = List.length order;
     maxlive = lv.Df.maxlive;

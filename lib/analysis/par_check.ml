@@ -33,7 +33,7 @@ type result = {
 let pass = "par-check"
 
 let phased_order (work : W.t) ~procs ~assignment =
-  let g = work.W.graph in
+  let g = W.graph work in
   let is_input = W.is_input work in
   let topo =
     match D.topo_sort g with
@@ -64,7 +64,7 @@ let check ?order (work : W.t) ~procs ~assignment =
   let err ~code loc fmt = Dg.Collector.addf c Dg.Error ~code loc fmt in
   let warn ~code loc fmt = Dg.Collector.addf c Dg.Warning ~code loc fmt in
   let info ~code loc fmt = Dg.Collector.addf c Dg.Info ~code loc fmt in
-  let g = work.W.graph in
+  let g = W.graph work in
   let n = W.n_vertices work in
   let is_input = W.is_input work in
   let procs = max procs 0 in
@@ -242,7 +242,7 @@ let replay_pass = "par-replay"
 let check_log (work : W.t) ~procs ~assignment ~log =
   let c = Dg.Collector.create ~pass:replay_pass ~title:"fault replay check" in
   let err ~code loc fmt = Dg.Collector.addf c Dg.Error ~code loc fmt in
-  let g = work.W.graph in
+  let g = W.graph work in
   let n = W.n_vertices work in
   let is_input = W.is_input work in
   let procs = max procs 0 in
@@ -269,7 +269,7 @@ let check_log (work : W.t) ~procs ~assignment ~log =
         own_inputs.(p) <- v :: own_inputs.(p);
         Hashtbl.replace holds.(p) v ()
       | _ -> ())
-    work.W.inputs;
+    (W.inputs work);
   let ever_computed = Array.make (max n 1) false in
   let computes = ref 0 and transfers = ref 0 and crashes = ref 0 in
   List.iteri
@@ -353,7 +353,7 @@ let check_log (work : W.t) ~procs ~assignment ~log =
             v p
         end
       | _ -> ())
-    work.W.outputs;
+    (W.outputs work);
   {
     report = Dg.Collector.report c;
     computes = !computes;

@@ -102,7 +102,7 @@ let init_state ?zob ~cache_size ~allow_recompute (work : W.t) =
       n;
       cache_size;
       allow_recompute;
-      graph = work.W.graph;
+      graph = W.graph work;
       is_input = W.is_input work;
       cache = Bs.create n;
       slow = Bs.create n;
@@ -129,7 +129,7 @@ let init_state ?zob ~cache_size ~allow_recompute (work : W.t) =
     (fun v ->
       Bs.add st.slow v;
       flip st p_slow v)
-    work.W.inputs;
+    (W.inputs work);
   st
 
 let at step v = Dg.Step { step; vertex = Some v }
@@ -292,7 +292,7 @@ let finish st emit (work : W.t) =
             (Printf.sprintf
                "output vertex %d computed but never stored to slow memory" v)
       end)
-    work.W.outputs;
+    (W.outputs work);
   for v = 0 to st.n - 1 do
     if Bs.mem st.cache v then flag_if_dead_load st emit (-1) v
   done

@@ -233,44 +233,57 @@ let out_entry_id t ~d ~lo pos =
 
 (* --- predecessors --- *)
 
-let iter_preds t id ~f =
+(* The k-th of n positions, counted from the far end when [rev]: the
+   two adjacency orders are the builder's insertion order and the
+   cons'd reverse that [Digraph.in_neighbors]/[out_neighbors] return.
+   Plain loops over [at] keep the hot adjacency queries closure-free. *)
+let at ~rev n k = if rev then n - 1 - k else k
+
+let iter_preds_dir t id ~rev ~f =
   match decode t id with
   | L_inp_a _ | L_inp_b _ -> ()
   | L_mult ctx ->
-    f ctx.a_base None;
-    f ctx.b_base None
+    if rev then (f ctx.b_base None; f ctx.a_base None)
+    else (f ctx.a_base None; f ctx.b_base None)
   | L_lmult (ctx, i, j, l) ->
     (* a_{il} then b_{lj}, the explicit builder's operand order *)
     let c = t.cutoff in
-    f (ctx.a_base + (i * c) + l) None;
-    f (ctx.b_base + (l * c) + j) None
+    let a = ctx.a_base + (i * c) + l and b = ctx.b_base + (l * c) + j in
+    if rev then (f b None; f a None) else (f a None; f b None)
   | L_ldec (ctx, i, j) ->
     let c = t.cutoff in
     let base = ctx.lo + ((((i * c) + j) * (c + 1))) in
-    for l = 0 to c - 1 do
-      f (base + l) (Some 1)
+    for k = 0 to c - 1 do
+      f (base + at ~rev c k) (Some 1)
     done
   | L_enc (is_a, ctx, tau, i, j) ->
     let r = t.size_at.(ctx.d) and h = t.size_at.(ctx.d + 1) in
-    let rows = if is_a then t.u else t.v in
+    let row = (if is_a then t.u else t.v).(tau) in
     let cols0 = if is_a then t.m0 else t.k0 in
     let base = if is_a then ctx.a_base else ctx.b_base in
-    Array.iteri
-      (fun b c ->
-        if c <> 0 then begin
-          let row = ((b / cols0) * h) + i and col = ((b mod cols0) * h) + j in
-          f (base + (row * r) + col) (Some c)
-        end)
-      rows.(tau)
+    let nb = Array.length row in
+    for k = 0 to nb - 1 do
+      let b = at ~rev nb k in
+      let c = row.(b) in
+      if c <> 0 then begin
+        let row = ((b / cols0) * h) + i and col = ((b mod cols0) * h) + j in
+        f (base + (row * r) + col) (Some c)
+      end
+    done
   | L_dec (ctx, p, q, i, j) ->
     let h = t.size_at.(ctx.d + 1) in
-    Array.iteri
-      (fun tau c ->
-        if c <> 0 then begin
-          let child_lo = ctx.lo + (tau * t.chunk.(ctx.d)) + (2 * h * h) in
-          f (out_entry_id t ~d:(ctx.d + 1) ~lo:child_lo ((i * h) + j)) (Some c)
-        end)
-      t.w.((p * t.k0) + q)
+    let wrow = t.w.((p * t.k0) + q) in
+    for k = 0 to t.t_rank - 1 do
+      let tau = at ~rev t.t_rank k in
+      let c = wrow.(tau) in
+      if c <> 0 then begin
+        let child_lo = ctx.lo + (tau * t.chunk.(ctx.d)) + (2 * h * h) in
+        f (out_entry_id t ~d:(ctx.d + 1) ~lo:child_lo ((i * h) + j)) (Some c)
+      end
+    done
+
+let iter_preds t id ~f = iter_preds_dir t id ~rev:false ~f
+let iter_in_neighbors t id ~f = iter_preds_dir t id ~rev:true ~f:(fun p _ -> f p)
 
 let preds t id =
   let acc = ref [] in
@@ -292,25 +305,24 @@ let edge_coeff t src dst =
 (* consumers of operand-array entry [pos] of the node at (d, lo):
    the node's encoder vertices whose U (A side) / V (B side) row has a
    nonzero coefficient at this entry's base-case block — or the Mult
-   itself at a leaf *)
-let iter_operand_succs t ~is_a ~d ~lo pos ~f =
+   itself at a leaf. Ascending consumer id, descending when [rev]. *)
+let iter_operand_succs t ~rev ~is_a ~d ~lo pos ~f =
   if d = t.levels then begin
     if t.cutoff = 1 then f lo
     else begin
       (* classical leaf: a-entry (i, l) feeds Mult (i, j, l) for every
-         j; b-entry (l, j) feeds Mult (i, j, l) for every i — ascending
-         consumer id either way, the builder's insertion order *)
+         j; b-entry (l, j) feeds Mult (i, j, l) for every i *)
       let c = t.cutoff in
       if is_a then begin
         let i = pos / c and l = pos mod c in
-        for j = 0 to c - 1 do
-          f (lo + (((i * c) + j) * (c + 1)) + l)
+        for k = 0 to c - 1 do
+          f (lo + (((i * c) + at ~rev c k) * (c + 1)) + l)
         done
       end
       else begin
         let l = pos / c and j = pos mod c in
-        for i = 0 to c - 1 do
-          f (lo + (((i * c) + j) * (c + 1)) + l)
+        for k = 0 to c - 1 do
+          f (lo + (((at ~rev c k * c) + j) * (c + 1)) + l)
         done
       end
     end
@@ -324,48 +336,52 @@ let iter_operand_succs t ~is_a ~d ~lo pos ~f =
     let rows = if is_a then t.u else t.v in
     let b = (p * cols0) + q in
     let off = (if is_a then 0 else h * h) + (i * h) + j in
-    for tau = 0 to t.t_rank - 1 do
+    for k = 0 to t.t_rank - 1 do
+      let tau = at ~rev t.t_rank k in
       if rows.(tau).(b) <> 0 then f (lo + (tau * t.chunk.(d)) + off)
     done
   end
 
 (* consumers of out-array entry [pos] of the node at depth d whose
    parent subtree starts at p_lo: the parent's decoders with a nonzero
-   W coefficient at column tau_in. Root out entries have none. *)
-let iter_out_succs t ~d ~p_lo ~tau_in pos ~f =
+   W coefficient at column tau_in, in (p, q) order. Root out entries
+   have none. *)
+let iter_out_succs t ~rev ~d ~p_lo ~tau_in pos ~f =
   if d > 0 then begin
     let rc = t.size_at.(d) in
     let i = pos / rc and j = pos mod rc in
     let dec_base = p_lo + t.dec_off.(d - 1) in
-    for p = 0 to t.n0 - 1 do
-      for q = 0 to t.k0 - 1 do
-        if t.w.((p * t.k0) + q).(tau_in) <> 0 then
-          f (dec_base + (((((p * t.k0) + q) * rc) + i) * rc) + j)
-      done
+    let npq = t.n0 * t.k0 in
+    for k = 0 to npq - 1 do
+      let pq = at ~rev npq k in
+      if t.w.(pq).(tau_in) <> 0 then f (dec_base + (((pq * rc) + i) * rc) + j)
     done
   end
 
-let iter_succs t id ~f =
+let iter_succs_dir t id ~rev ~f =
   match decode t id with
-  | L_inp_a idx -> iter_operand_succs t ~is_a:true ~d:0 ~lo:t.root_lo idx ~f
-  | L_inp_b idx -> iter_operand_succs t ~is_a:false ~d:0 ~lo:t.root_lo idx ~f
+  | L_inp_a idx -> iter_operand_succs t ~rev ~is_a:true ~d:0 ~lo:t.root_lo idx ~f
+  | L_inp_b idx -> iter_operand_succs t ~rev ~is_a:false ~d:0 ~lo:t.root_lo idx ~f
   | L_enc (is_a, ctx, tau, i, j) ->
     (* this vertex is operand entry (i, j) of child [tau] *)
     let h = t.size_at.(ctx.d + 1) in
     let child_lo = ctx.lo + (tau * t.chunk.(ctx.d)) + (2 * h * h) in
-    iter_operand_succs t ~is_a ~d:(ctx.d + 1) ~lo:child_lo ((i * h) + j) ~f
-  | L_mult ctx -> iter_out_succs t ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in 0 ~f
+    iter_operand_succs t ~rev ~is_a ~d:(ctx.d + 1) ~lo:child_lo ((i * h) + j) ~f
+  | L_mult ctx -> iter_out_succs t ~rev ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in 0 ~f
   | L_lmult (ctx, i, j, _) ->
     (* sole consumer: the leaf Dec of output (i, j) *)
     let c = t.cutoff in
     f (ctx.lo + (((i * c) + j) * (c + 1)) + c)
   | L_ldec (ctx, i, j) ->
-    iter_out_succs t ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in
+    iter_out_succs t ~rev ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in
       ((i * t.cutoff) + j) ~f
   | L_dec (ctx, p, q, i, j) ->
     let r = t.size_at.(ctx.d) and h = t.size_at.(ctx.d + 1) in
     let pos = (((p * h) + i) * r) + ((q * h) + j) in
-    iter_out_succs t ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in pos ~f
+    iter_out_succs t ~rev ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in pos ~f
+
+let iter_succs t id ~f = iter_succs_dir t id ~rev:false ~f
+let iter_out_neighbors t id ~f = iter_succs_dir t id ~rev:true ~f
 
 let succs t id =
   let acc = ref [] in

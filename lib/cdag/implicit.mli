@@ -84,11 +84,19 @@ val iter_preds : t -> int -> f:(int -> int option -> unit) -> unit
     column / ascending tau; Mult: A operand then B operand). Note
     [Digraph.in_neighbors] of the explicit graph shows the reverse. *)
 
+val iter_in_neighbors : t -> int -> f:(int -> unit) -> unit
+(** Predecessors in the reverse of {!iter_preds}' order — the order
+    [Digraph.in_neighbors] lists on the explicit graph. *)
+
 val preds : t -> int -> (int * int option) list
 
 val iter_succs : t -> int -> f:(int -> unit) -> unit
 (** Successors, in the explicit builder's edge-insertion order
     (ascending consumer id). *)
+
+val iter_out_neighbors : t -> int -> f:(int -> unit) -> unit
+(** Successors in descending id order — the order
+    [Digraph.out_neighbors] lists on the explicit graph. *)
 
 val succs : t -> int -> int list
 

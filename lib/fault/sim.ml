@@ -88,7 +88,7 @@ let derive_failures ~procs ~steps ~fail ~seed =
 
 let run (work : W.t) ~procs ~assignment ~policy ~failures ?bound ?(seed = 0) ()
     =
-  let g = work.W.graph in
+  let g = W.graph work in
   let n = W.n_vertices work in
   if procs < 1 then invalid_arg "Fault.run: procs < 1";
   if Array.length assignment <> n then
@@ -228,7 +228,7 @@ let run (work : W.t) ~procs ~assignment ~policy ~failures ?bound ?(seed = 0) ()
     (fun v ->
       if (not (is_input v)) && not computed.(v) then
         recover_own assignment.(v) v)
-    work.W.outputs;
+    (W.outputs work);
   let max_words = ref 0 in
   for p = 0 to procs - 1 do
     max_words := max !max_words (sent.(p) + received.(p))
@@ -264,7 +264,7 @@ let run (work : W.t) ~procs ~assignment ~policy ~failures ?bound ?(seed = 0) ()
 let simulate (work : W.t) ~procs ~assignment ~policy ~fail ~seed ?bound () =
   let steps =
     let is_input = W.is_input work in
-    match D.topo_sort work.W.graph with
+    match D.topo_sort (W.graph work) with
     | Some o -> List.length (List.filter (fun v -> not (is_input v)) o)
     | None -> invalid_arg "Fault.simulate: not a DAG"
   in

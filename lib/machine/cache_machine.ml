@@ -60,7 +60,7 @@ let init cfg work =
       recomputes = 0;
     }
   in
-  Array.iter (fun v -> st.in_slow.(v) <- true) work.Workload.inputs;
+  Array.iter (fun v -> st.in_slow.(v) <- true) (Workload.inputs work);
   st
 
 let is_input st v = st.input_mask v
@@ -92,7 +92,7 @@ let apply st event =
       (fun p ->
         if not st.in_cache.(p) then
           illegal_at st "compute of vertex %d: operand %d not in cache" v p)
-      (Fmm_graph.Digraph.in_neighbors st.work.Workload.graph v);
+      (Fmm_graph.Digraph.in_neighbors (Workload.graph st.work) v);
     if not st.in_cache.(v) then begin
       if st.occupancy >= st.cfg.cache_size then
         illegal_at st "compute of vertex %d: cache full (M = %d)" v st.cfg.cache_size;
@@ -121,7 +121,7 @@ let counters st =
     names the complete set of missing results, not just the first. *)
 let check_final st =
   let bad =
-    Array.to_list st.work.Workload.outputs
+    Array.to_list (Workload.outputs st.work)
     |> List.filter_map (fun v ->
            (* an output that is itself an input (e.g. LU's untouched
               first row of U) is available in slow memory from the

@@ -25,7 +25,7 @@ type result = {
     memory). Each (value, consumer-processor) pair costs one transfer,
     counted once. *)
 let run (work : Workload.t) ~procs ~assignment =
-  let g = work.Workload.graph in
+  let g = Workload.graph work in
   let n = Workload.n_vertices work in
   if Array.length assignment <> n then
     invalid_arg "Par_exec.run: assignment length mismatch";
@@ -94,7 +94,7 @@ let run (work : Workload.t) ~procs ~assignment =
     (communication, not arithmetic, is what this model counts). *)
 let run_limited (work : Workload.t) ~procs ~assignment ~local_memory =
   if local_memory < 2 then invalid_arg "Par_exec.run_limited: memory < 2";
-  let g = work.Workload.graph in
+  let g = Workload.graph work in
   let n = Workload.n_vertices work in
   if Array.length assignment <> n then
     invalid_arg "Par_exec.run_limited: assignment length mismatch";
@@ -182,61 +182,42 @@ let run_limited (work : Workload.t) ~procs ~assignment ~local_memory =
     previously went last-writer-wins, so the sent/received census
     depended on iteration order). Vertices no subtree claims keep the
     round-robin-by-id default. *)
-let bfs_assignment cdag ~depth ~procs =
-  let n = Fmm_cdag.Cdag.n_vertices cdag in
-  let assignment = Array.init n (fun v -> v mod procs) in
-  let claimed = Array.make n false in
-  let claim p v =
-    if not claimed.(v) then begin
-      claimed.(v) <- true;
-      assignment.(v) <- p
-    end
-  in
-  (* the depth-bucket index already yields ascending subtree_lo order *)
-  let subtrees = Fmm_cdag.Cdag.nodes_at_depth cdag ~depth in
-  List.iteri
-    (fun idx nd ->
-      let p = idx mod procs in
-      for v = nd.Fmm_cdag.Cdag.subtree_lo to nd.Fmm_cdag.Cdag.subtree_hi do
-        claim p v
-      done;
-      Array.iter (claim p) nd.Fmm_cdag.Cdag.a_in;
-      Array.iter (claim p) nd.Fmm_cdag.Cdag.b_in)
-    subtrees;
-  assignment
-
-(** [bfs_assignment] computed from the implicit CDAG alone: the same
-    round-robin default, the same first-claim sweep over depth-[depth]
-    nodes in ascending subtree order — identical output by
-    construction (operand arrays are contiguous id blocks in the
-    implicit indexing). *)
+(* One sweep for both entry points, on the implicit view (operand
+   arrays are contiguous id blocks in the implicit indexing): the
+   round-robin default, then a first-claim pass over the depth-[depth]
+   nodes in ascending subtree order. A depth outside the recursion has
+   no nodes, so it claims nothing and leaves the default. *)
 let bfs_assignment_implicit imp ~depth ~procs =
   let module Im = Fmm_cdag.Implicit in
   let n = Im.n_vertices imp in
   let assignment = Array.init n (fun v -> v mod procs) in
-  let claimed = Bytes.make ((n + 7) / 8) '\000' in
+  let claimed = Fmm_util.Bitset.create n in
   let claim p v =
-    if Char.code (Bytes.get claimed (v lsr 3)) land (1 lsl (v land 7)) = 0 then begin
-      Bytes.set claimed (v lsr 3)
-        (Char.chr (Char.code (Bytes.get claimed (v lsr 3)) lor (1 lsl (v land 7))));
+    if not (Fmm_util.Bitset.mem claimed v) then begin
+      Fmm_util.Bitset.add claimed v;
       assignment.(v) <- p
     end
   in
-  let idx = ref 0 in
-  Im.iter_nodes_at_depth imp ~depth ~f:(fun nd ->
-      let p = !idx mod procs in
-      incr idx;
-      for v = nd.Im.lo to nd.Im.hi do
-        claim p v
-      done;
-      let r2 = nd.Im.r * nd.Im.r in
-      for i = 0 to r2 - 1 do
-        claim p (nd.Im.a_base + i)
-      done;
-      for i = 0 to r2 - 1 do
-        claim p (nd.Im.b_base + i)
-      done);
+  if depth >= 0 && depth <= Im.levels imp then begin
+    let idx = ref 0 in
+    Im.iter_nodes_at_depth imp ~depth ~f:(fun nd ->
+        let p = !idx mod procs in
+        incr idx;
+        for v = nd.Im.lo to nd.Im.hi do
+          claim p v
+        done;
+        let r2 = nd.Im.r * nd.Im.r in
+        for i = 0 to r2 - 1 do
+          claim p (nd.Im.a_base + i)
+        done;
+        for i = 0 to r2 - 1 do
+          claim p (nd.Im.b_base + i)
+        done)
+  end;
   assignment
+
+let bfs_assignment cdag ~depth ~procs =
+  bfs_assignment_implicit (Fmm_cdag.Implicit.of_cdag cdag) ~depth ~procs
 
 (** Single-processor baseline: everything local, zero communication. *)
 let sequential_assignment work = Array.make (Workload.n_vertices work) 0

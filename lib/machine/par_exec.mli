@@ -37,9 +37,10 @@ val bfs_assignment : Fmm_cdag.Cdag.t -> depth:int -> procs:int -> int array
 
 val bfs_assignment_implicit :
   Fmm_cdag.Implicit.t -> depth:int -> procs:int -> int array
-(** Identical assignment computed from the implicit CDAG alone (no
-    node list, no graph) — agrees with {!bfs_assignment} entry for
-    entry. *)
+(** The same assignment from the implicit CDAG alone (no node list, no
+    graph); {!bfs_assignment} is this sweep on [Implicit.of_cdag]. A
+    [depth] outside the recursion claims no subtree: both return the
+    round-robin default. *)
 
 val sequential_assignment : Workload.t -> int array
 

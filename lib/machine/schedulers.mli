@@ -21,6 +21,14 @@ val run_lru : Workload.t -> cache_size:int -> int list -> result
     run (raises [Failure] if violated). [cache_size] must exceed the
     maximum in-degree (raises [Failure] otherwise). *)
 
+val stream_lru :
+  Workload.t -> cache_size:int -> on_event:(Trace.event -> unit) -> Trace.counters
+(** {!run_lru} on the ascending-id order of the non-input vertices (a
+    topological order of every CDAG, explicit or implicit), sending
+    each event to [on_event] instead of building a trace, and building
+    no order list or position table: on an implicit view the run keeps
+    V/8 bytes per residency set plus O(cache) words. *)
+
 val run_belady : Workload.t -> cache_size:int -> int list -> result
 (** Offline-optimal (MIN) replacement for the given order: evict the
     resident value whose next use is farthest away. Its I/O lower
@@ -55,6 +63,8 @@ val run_hybrid :
     and outputs ignore
     the flag — inputs are always in slow memory, outputs always spill.
     [recompute = fun _ -> false] reproduces {!run_lru}'s trace
-    exactly; this is the schedule space {!Fmm_opt.Optimizer} searches.
+    exactly ({!run_lru} is this scheduler without recomputation, plus
+    the spill-free check and no flop cap); this is the schedule space
+    {!Fmm_opt.Optimizer} searches.
     Raises [Failure] like the fixed policies; same [max_flops]
     discipline as {!run_rematerialize}. *)

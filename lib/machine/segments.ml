@@ -39,15 +39,7 @@ let analyze_events ~n_vertices ~is_sub_output ~cache_size ~r ?quota iter =
   let quota =
     match quota with Some q -> q | None -> max 1 (4 * cache_size)
   in
-  let computed = Bytes.make ((n_vertices + 7) / 8) '\000' in
-  let computed_mem v =
-    Char.code (Bytes.unsafe_get computed (v lsr 3)) land (1 lsl (v land 7)) <> 0
-  in
-  let computed_set v =
-    Bytes.unsafe_set computed (v lsr 3)
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get computed (v lsr 3)) lor (1 lsl (v land 7))))
-  in
+  let computed = Fmm_util.Bitset.create n_vertices in
   let segments = ref [] in
   let seg_outputs = ref 0 and seg_loads = ref 0 and seg_stores = ref 0 in
   let seg_index = ref 0 in
@@ -72,8 +64,8 @@ let analyze_events ~n_vertices ~is_sub_output ~cache_size ~r ?quota iter =
       | Trace.Store _ -> incr seg_stores
       | Trace.Evict _ -> ()
       | Trace.Compute v ->
-        if is_sub_output v && not (computed_mem v) then begin
-          computed_set v;
+        if is_sub_output v && not (Fmm_util.Bitset.mem computed v) then begin
+          Fmm_util.Bitset.add computed v;
           incr seg_outputs;
           if !seg_outputs = quota then close_segment ()
         end);

@@ -1,241 +1,9 @@
-(* Streaming LRU execution of an implicit CDAG: the exact event
-   sequence [Schedulers.run_lru] produces on the canonical ascending-id
-   order, computed without ever materializing the graph or the trace.
-
-   The graph is queried arithmetically ([Implicit.iter_preds] /
-   [iter_succs]); residency is two bitsets plus an intrusive
-   doubly-linked LRU list whose size is bounded by the cache, so the
-   whole run is O(E log 1) time and O(V / 8 + M) space — n = 256
-   (40M vertices) fits in a few tens of MB where the explicit
-   machinery needs tens of GB.
-
-   Equivalence notes (checked event-for-event by [test_implicit]):
-   - [Digraph.in_neighbors] returns cons'd (reverse-insertion) order,
-     so operands are visited in reverse [Implicit.iter_preds] order.
-   - [remaining_uses.(w)] at the pre-compute phase of step v equals
-     #{s in succs(w) | s >= v} because the order is ascending ids and
-     each successor consumes each operand exactly once (the CDAG has
-     no parallel edges); the post-compute dead test uses s > v.
-   - The LRU victim (least-recently-touched unpinned DEAD resident if
-     any, else least-recently-touched unpinned resident) is the tail
-     of the matching linked list, skipping pinned entries — the same
-     vertex [Schedulers]' time-keyed map minima select. Dead residents
-     are appended to the dead list in last-touch order (a value dies in
-     the post-compute phase of the step that touched it last, and the
-     per-step processing order equals the per-step touch order), so the
-     dead list's tail is the least-recently-touched dead resident. *)
-
-module Im = Fmm_cdag.Implicit
-
-(* Flat bitset over vertex ids; Bytes-backed so n = 1024 (2G vertices)
-   costs 256MB only when such a run is actually attempted. *)
-module Bits = struct
-  let create n = Bytes.make ((n + 7) / 8) '\000'
-  let mem b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-  let set b i =
-    Bytes.unsafe_set b (i lsr 3)
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
-
-  let clear b i =
-    Bytes.unsafe_set b (i lsr 3)
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get b (i lsr 3)) land lnot (1 lsl (i land 7))))
-end
-
-(* Intrusive doubly-linked recency lists with cyclic sentinels:
-   sentinel.next = most recent, sentinel.prev = least recent. A
-   resident vertex's node lives on exactly one of the two lists — the
-   live list (ordered by recency of touch) or the dead list (values
-   past their last use, ordered by recency at death, which equals
-   recency of touch since a value dies in the step of its last touch).
-   Only resident vertices have nodes, so the table stays cache-sized. *)
-type lnode = { v : int; mutable prev : lnode; mutable next : lnode }
-
-type lru = {
-  sentinel : lnode; (* live residents *)
-  dead_sentinel : lnode; (* dead residents: preferred victims *)
-  nodes : (int, lnode) Hashtbl.t;
-}
-
-let lru_create () =
-  let rec s = { v = -1; prev = s; next = s } in
-  let rec d = { v = -2; prev = d; next = d } in
-  { sentinel = s; dead_sentinel = d; nodes = Hashtbl.create 1024 }
-
-let unlink nd =
-  nd.prev.next <- nd.next;
-  nd.next.prev <- nd.prev
-
-let push_front_of sentinel nd =
-  nd.prev <- sentinel;
-  nd.next <- sentinel.next;
-  sentinel.next.prev <- nd;
-  sentinel.next <- nd
-
-let touch lru v =
-  match Hashtbl.find_opt lru.nodes v with
-  | Some nd ->
-    unlink nd;
-    push_front_of lru.sentinel nd
-  | None ->
-    let nd = { v; prev = lru.sentinel; next = lru.sentinel } in
-    push_front_of lru.sentinel nd;
-    Hashtbl.add lru.nodes v nd
-
-(* Move a resident vertex to the dead list (its last use is behind
-   us): it becomes a preferred eviction victim, mirroring
-   [Schedulers.mark_dead]. *)
-let mark_dead lru v =
-  match Hashtbl.find_opt lru.nodes v with
-  | Some nd ->
-    unlink nd;
-    push_front_of lru.dead_sentinel nd
-  | None -> ()
-
-let forget lru v =
-  match Hashtbl.find_opt lru.nodes v with
-  | Some nd ->
-    unlink nd;
-    Hashtbl.remove lru.nodes v
-  | None -> ()
-
-(* Least-recently-touched unpinned DEAD resident when one exists
-   (evicting it can never cost a reload), otherwise the
-   least-recently-touched unpinned live resident. *)
-let victim lru ~pinned =
-  let rec walk sentinel nd fallback =
-    if nd == sentinel then
-      match fallback with
-      | Some (s, n) -> walk s n None
-      | None -> failwith "Stream_exec: cache too small (everything pinned)"
-    else if Bits.mem pinned nd.v then walk sentinel nd.prev fallback
-    else nd.v
-  in
-  walk lru.dead_sentinel lru.dead_sentinel.prev
-    (Some (lru.sentinel, lru.sentinel.prev))
+(* Streaming LRU execution of an implicit CDAG: the shared scheduler
+   core on the implicit Workload view, in ascending-id order. *)
 
 let run_lru imp ~cache_size ?(on_event = fun (_ : Trace.event) -> ()) () =
   if cache_size < 1 then invalid_arg "Stream_exec.run_lru: cache_size < 1";
-  let nv = Im.n_vertices imp in
-  let n_inp = Im.n_inputs imp in
-  let in_cache = Bits.create nv in
-  let in_slow = Bits.create nv in
-  let pinned = Bits.create nv in
-  for i = 0 to n_inp - 1 do
-    Bits.set in_slow i
-  done;
-  let lru = lru_create () in
-  let occupancy = ref 0 in
-  let loads = ref 0 and stores = ref 0 and computes = ref 0 in
-  (* Spill-free invariant machinery, mirroring Schedulers.run_lru:
-     live-set size per Dataflow's liveness, plus spill detectors. *)
-  let ever_resident = Bits.create nv in
-  let live = ref 0 and maxlive = ref 0 in
-  let reloads = ref 0 and spill_stores = ref 0 in
-  (* #{s in succs(w) | s >= from_}: the scheduler's remaining-uses
-     counter, recovered arithmetically. *)
-  let uses_from w ~from_ =
-    let k = ref 0 in
-    Im.iter_succs imp w ~f:(fun s -> if s >= from_ then incr k);
-    !k
-  in
-  (* Current order vertex; evictions only happen while making room for
-     it, so remaining uses are always counted from here. *)
-  let cur = ref n_inp in
-  let writeback w = uses_from w ~from_:!cur > 0 || Im.is_output imp w in
-  let evict_one () =
-    let w = victim lru ~pinned in
-    if writeback w && not (Bits.mem in_slow w) then begin
-      on_event (Trace.Store w);
-      Bits.set in_slow w;
-      incr stores;
-      if not (Im.is_output imp w) then incr spill_stores
-    end;
-    on_event (Trace.Evict w);
-    Bits.clear in_cache w;
-    decr occupancy;
-    forget lru w
-  in
-  let ensure_room () =
-    while !occupancy >= cache_size do
-      evict_one ()
-    done
-  in
-  for v = n_inp to nv - 1 do
-    cur := v;
-    (* in_neighbors order = reverse builder insertion order. *)
-    let preds = ref [] in
-    Im.iter_preds imp v ~f:(fun p _ -> preds := p :: !preds);
-    let preds = !preds in
-    List.iter
-      (fun p ->
-        if not (Bits.mem in_cache p) then begin
-          if not (Bits.mem in_slow p) then
-            failwith
-              (Printf.sprintf
-                 "Stream_exec.run_lru: order step %d (vertex %d): operand %d lost"
-                 (v - n_inp) v p);
-          if p < n_inp && not (Bits.mem ever_resident p) then incr live;
-          Bits.set pinned p;
-          ensure_room ();
-          on_event (Trace.Load p);
-          Bits.set in_cache p;
-          incr occupancy;
-          incr loads;
-          if Bits.mem ever_resident p then incr reloads;
-          Bits.set ever_resident p;
-          touch lru p
-        end
-        else begin
-          Bits.set pinned p;
-          touch lru p
-        end)
-      preds;
-    ensure_room ();
-    on_event (Trace.Compute v);
-    Bits.set in_cache v;
-    Bits.set ever_resident v;
-    incr occupancy;
-    incr computes;
-    incr live;
-    if !live > !maxlive then maxlive := !live;
-    touch lru v;
-    List.iter
-      (fun p ->
-        Bits.clear pinned p;
-        if uses_from p ~from_:(v + 1) = 0 then begin
-          decr live;
-          if Bits.mem in_cache p then
-            if Im.is_output imp p then mark_dead lru p
-            else begin
-              on_event (Trace.Evict p);
-              Bits.clear in_cache p;
-              decr occupancy;
-              forget lru p
-            end
-        end)
-      preds;
-    if uses_from v ~from_:(v + 1) = 0 then begin
-      decr live;
-      mark_dead lru v
-    end
-  done;
-  Array.iter
-    (fun v ->
-      if Bits.mem in_cache v && not (Bits.mem in_slow v) then begin
-        on_event (Trace.Store v);
-        Bits.set in_slow v;
-        incr stores
-      end)
-    (Im.outputs imp);
-  if cache_size >= !maxlive && (!reloads > 0 || !spill_stores > 0) then
-    failwith
-      (Printf.sprintf
-         "Stream_exec.run_lru: spill-free invariant violated: cache_size=%d >= \
-          maxlive=%d yet reloads=%d spill_stores=%d"
-         cache_size !maxlive !reloads !spill_stores);
-  { Trace.loads = !loads; stores = !stores; computes = !computes; recomputes = 0 }
+  Schedulers.stream_lru (Workload.of_implicit imp) ~cache_size ~on_event
 
 (* Materializing variant for differential tests at small n. *)
 let run_lru_collect imp ~cache_size =

@@ -236,7 +236,7 @@ let diff ~tolerance ?time_tolerance ~baseline ~current () =
             match Hashtbl.find_opt tbl key with
             | None ->
               incr unmatched;
-              emit "  new      %s: ratio %.3f (no baseline row)" key cur
+              emit "  UNMATCHED %s: ratio %.3f (no baseline row)" key cur
             | Some base ->
               incr compared;
               if cur > base *. (1. +. tolerance) then begin
@@ -273,3 +273,5 @@ let diff ~tolerance ?time_tolerance ~baseline ~current () =
     n_improvements = !imps;
     n_unmatched = !unmatched;
   }
+
+let passes d = d.n_regressions = 0 && d.n_unmatched = 0

@@ -295,7 +295,7 @@ let generic_window work trace order_len ~cache_size =
    any internal-edge-respecting permutation keeps the whole order
    topological. *)
 let reshuffle_window rng work order lo hi =
-  let g = work.W.graph in
+  let g = W.graph work in
   let w = hi - lo in
   let verts = Array.sub order lo w in
   let local = Hashtbl.create (2 * w) in
@@ -368,7 +368,7 @@ let reorder_move rng ?cdag ~cache_size work ev =
    residency can serve them. *)
 let hoist_move rng work ev =
   let is_input = W.is_input work in
-  let g = work.W.graph in
+  let g = W.graph work in
   let n = W.n_vertices work in
   let order = ev.candidate.order in
   let pos = positions work order in
@@ -454,7 +454,7 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
         invalid_arg
           (Printf.sprintf "Optimizer.search: seed order %S is not a valid \
                            topological order of %s"
-             name work.W.name))
+             name (W.name work)))
     orders;
   let jobs = max 1 jobs in
   let evaluated = ref 0 and rejected = ref 0 and accepted = ref 0 in
@@ -480,7 +480,7 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
       (Printf.sprintf
          "Optimizer.search: no seed candidate executed on %s at M=%d (cache \
           too small?)"
-         work.W.name cache_size);
+         (W.name work) cache_size);
   let baselines =
     let first_name = fst (List.hd orders) in
     List.map
@@ -587,7 +587,7 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
     history := best_io () :: !history
   done;
   {
-    workload = work.W.name;
+    workload = W.name work;
     cache_size;
     seed;
     beam_width = beam;

@@ -36,7 +36,7 @@ let find cnt key = try Hashtbl.find cnt key with Not_found -> 0
 let census w ~procs asg =
   let cnt = Hashtbl.create 4096 in
   let total = ref 0 in
-  let g = w.W.graph in
+  let g = W.graph w in
   let is_input = W.is_input w in
   for v = 0 to W.n_vertices w - 1 do
     if not (is_input v) then
@@ -82,7 +82,7 @@ let apply_move cnt total g ~procs asg v ~src ~dst =
 let split_order ?(rounds = 4) w ~procs order =
   if procs < 1 then invalid_arg "Generator.split_order: procs < 1";
   let live = DF.order_liveness w order in
-  let g = w.W.graph in
+  let g = W.graph w in
   let len = Array.length order in
   let n = W.n_vertices w in
   (* seed each cut at the liveness minimum near the balanced position:
@@ -123,7 +123,7 @@ let split_order ?(rounds = 4) w ~procs order =
       (fun u ->
         let fu = live.DF.first_use.(u) in
         asg.(u) <- (if fu >= 0 then part_of_pos.(fu) else 0))
-      w.W.inputs
+      (W.inputs w)
   in
   snap_inputs ();
   let cnt, total = census w ~procs asg in
@@ -268,7 +268,7 @@ let of_trace w trace =
   Array.of_list (List.rev !acc)
 
 let exec_log w ~procs ~assignment =
-  let g = w.W.graph in
+  let g = W.graph w in
   let topo =
     match DG.topo_sort g with
     | Some t -> t

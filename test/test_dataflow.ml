@@ -42,7 +42,7 @@ let dfs4 = Ord.recursive_dfs cdag4
 let dfs8 = Ord.recursive_dfs cdag8
 
 let non_input_topo w =
-  match D.topo_sort w.W.graph with
+  match D.topo_sort (W.graph w) with
   | Some o -> List.filter (fun v -> not (W.is_input w v)) o
   | None -> Alcotest.fail "cyclic workload"
 
@@ -227,7 +227,7 @@ let naive_maxlive w order =
           if pos.(c) < first_use.(v) then first_use.(v) <- pos.(c);
           if pos.(c) > last_use.(v) then last_use.(v) <- pos.(c)
         end)
-      (D.out_neighbors w.W.graph v)
+      (D.out_neighbors (W.graph w) v)
   done;
   let best = ref 0 in
   for i = 0 to len - 1 do

@@ -264,9 +264,9 @@ let fmmlab_exe =
      binary at this path relative to the test's cwd *)
   Filename.concat (Filename.concat ".." "bin") "fmmlab.exe"
 
-let run_cli args =
+let run_cli ?(out = "/dev/null") args =
   let cmd =
-    Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote fmmlab_exe) args
+    Printf.sprintf "%s %s >%s 2>&1" (Filename.quote fmmlab_exe) args (Filename.quote out)
   in
   match Unix.system cmd with
   | Unix.WEXITED c -> c
@@ -303,8 +303,61 @@ let test_cli_degenerate_exit2 () =
     Alcotest.(check int) "exit 0: healthy hybrid exec" 0
       (run_cli "exec -a Strassen -n 8 -m 32 --cutoff 4 --backend zp65537");
     Alcotest.(check int) "exit 0: healthy hybrid census" 0
-      (run_cli "census -a Strassen -n 8 --cutoff 4")
+      (run_cli "census -a Strassen -n 8 --cutoff 4");
+    (* a BFS depth beyond the recursion falls back to round-robin *)
+    Alcotest.(check int) "exit 0: cosma deeper than the CDAG" 0
+      (run_cli "cosma -n 4 -p 60")
   end
+
+let with_temp f =
+  let path = Filename.temp_file "fmmlab" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* hybrid censuses stream the implicit core: lint, MAXLIVE and the
+   segment analysis all run, and the lint is clean *)
+let test_cli_hybrid_census () =
+  if not (Sys.file_exists fmmlab_exe) then Alcotest.skip ();
+  with_temp (fun out ->
+      let args = "census -a Strassen -n 16 --cutoff 8 --lint --maxlive --analyze" in
+      Alcotest.(check int) ("exit 0: " ^ args) 0
+        (run_cli ~out args);
+      let text = read_file out in
+      Alcotest.(check bool) "zero lint errors" true
+        (contains text "implicit lint: 0 error(s)");
+      Alcotest.(check bool) "MAXLIVE reported" true (contains text "MAXLIVE =");
+      Alcotest.(check bool) "segments reported" true (contains text "Lemma 3.6 holds"))
+
+(* the baseline gate fails closed: a row the baseline lacks exits 1 *)
+let test_cli_baseline_fails_closed () =
+  let module Json = Fmm_obs.Json in
+  let module Sink = Fmm_obs.Sink in
+  if not (Sys.file_exists fmmlab_exe) then Alcotest.skip ();
+  with_temp (fun full ->
+      with_temp (fun partial ->
+          Alcotest.(check int) "exit 0: write T1 report" 0
+            (run_cli ("bench --filter T1 --quiet --json " ^ Filename.quote full));
+          Alcotest.(check int) "exit 0: T1 against itself" 0
+            (run_cli ("bench --filter T1 --quiet --baseline " ^ Filename.quote full));
+          let outcomes =
+            match Sink.outcomes_of_json (Json.of_file full) with
+            | Ok o -> o
+            | Error msg -> Alcotest.fail msg
+          in
+          let drop_last_row (o : Fmm_obs.Experiment.outcome) =
+            let rows = o.Fmm_obs.Experiment.rows in
+            { o with rows = List.filteri (fun k _ -> k < List.length rows - 1) rows }
+          in
+          Json.to_file partial
+            (Sink.report_to_json ~created:0. (List.map drop_last_row outcomes));
+          Alcotest.(check int) "exit 1: T1 row missing from the baseline" 1
+            (run_cli ("bench --filter T1 --quiet --baseline " ^ Filename.quote partial))))
 
 let () =
   Alcotest.run "fmm_exec"
@@ -339,5 +392,8 @@ let () =
         [
           Alcotest.test_case "degenerate configs exit 2" `Quick
             test_cli_degenerate_exit2;
+          Alcotest.test_case "hybrid census streams" `Quick test_cli_hybrid_census;
+          Alcotest.test_case "baseline gate fails closed" `Quick
+            test_cli_baseline_fails_closed;
         ] );
     ]

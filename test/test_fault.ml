@@ -31,7 +31,7 @@ let setup ~depth ~procs =
   (w16, assignment)
 
 let steps_of w =
-  W.n_vertices w - Array.length w.W.inputs
+  W.n_vertices w - Array.length (W.inputs w)
 
 let all_policies = [ Sim.Recompute_local; Sim.Refetch_owner; Sim.Replicate 2 ]
 

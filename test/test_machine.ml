@@ -430,7 +430,7 @@ let test_par_exec_census_reference () =
   let procs = 49 in
   let assignment = PE.bfs_assignment c ~depth:2 ~procs in
   let r = PE.run w ~procs ~assignment in
-  let g = w.W.graph in
+  let g = W.graph w in
   let n = W.n_vertices w in
   let sent = Array.make procs 0 and received = Array.make procs 0 in
   let transferred = Array.make n [] in
@@ -614,7 +614,7 @@ let test_schedulers_differential_random () =
       let w, order = random_workload ~seed in
       let max_indeg =
         List.fold_left
-          (fun acc v -> max acc (Fmm_graph.Digraph.in_degree w.W.graph v))
+          (fun acc v -> max acc (Fmm_graph.Digraph.in_degree (W.graph w) v))
           0 order
       in
       List.iter
@@ -659,7 +659,7 @@ let test_schedulers_differential_random () =
           | Some rem ->
             Alcotest.(check int)
               (Printf.sprintf "%s remat stores only outputs" ctx)
-              (Array.length w.W.outputs)
+              (Array.length (W.outputs w))
               rem.Sch.counters.Tr.stores)
         [ max_indeg + 2; max_indeg + 8; 64 ])
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]

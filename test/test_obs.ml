@@ -233,6 +233,20 @@ let test_diff_detects_improvement_and_new () =
   Alcotest.(check int) "improvement" 1 d.Sink.n_improvements;
   Alcotest.(check int) "unmatched" 1 d.Sink.n_unmatched
 
+let test_diff_fails_closed () =
+  let base = [ outcome_with_ratio "X" 1.2 ] in
+  Alcotest.(check bool) "matched rows pass" true
+    (Sink.passes (Sink.diff ~tolerance:0.1 ~baseline:base ~current:base ()));
+  (* a row the baseline does not cover is ungated: the gate fails *)
+  let d =
+    Sink.diff ~tolerance:0.1 ~baseline:base
+      ~current:[ outcome_with_ratio "X" 1.2; outcome_with_ratio "Y" 1.0 ] ()
+  in
+  Alcotest.(check int) "no regressions" 0 d.Sink.n_regressions;
+  Alcotest.(check bool) "unmatched row fails" false (Sink.passes d);
+  Alcotest.(check bool) "line names the row" true
+    (List.exists (fun l -> String.length l > 11 && String.sub l 2 9 = "UNMATCHED") d.Sink.lines)
+
 let test_diff_time_gate () =
   let base = [ outcome_with_ratio "X" 1.2 ] in
   let cur = [ { (outcome_with_ratio "X" 1.2) with Exp.wall_s = 10.0 } ] in
@@ -321,6 +335,8 @@ let () =
           Alcotest.test_case "regression" `Quick test_diff_detects_regression;
           Alcotest.test_case "improvement + new" `Quick
             test_diff_detects_improvement_and_new;
+          Alcotest.test_case "fails closed on unmatched rows" `Quick
+            test_diff_fails_closed;
           Alcotest.test_case "time gate" `Quick test_diff_time_gate;
         ] );
       ( "registry",
