@@ -34,10 +34,12 @@ val lint_graph :
     bound to [max (W sparsity) dec_leaf]. *)
 
 val lint_implicit : ?samples:int -> Fmm_cdag.Implicit.t -> Diagnostic.report
-(** Lint an implicit CDAG: global closed-form census identities plus
-    the Fact 2.1 / role-edge / reciprocity / ascending-id checks on an
-    id-stride sample of [samples] vertices (default 4096) and the
-    layout boundary ids. Runs at any n the arithmetic supports. *)
+(** Lint an implicit CDAG: global closed-form census identities plus,
+    on an id-stride sample of [samples] vertices (default 4096) and the
+    layout boundary ids, the per-vertex rules {!lint_graph} applies
+    (decoder bound widened to the CDAG's cutoff, so a hybrid CDAG lints
+    alike on both paths) and reciprocity / ascending-id checks of the
+    adjacency arithmetic. Runs at any n the arithmetic supports. *)
 
 val lint_workload : Fmm_machine.Workload.t -> Diagnostic.report
 (** Role-free DAG hygiene for arbitrary workloads and pebbling
