@@ -1692,8 +1692,8 @@ let _ic2 =
           );
         ];
       Obs.note m
-        "(MAXLIVE via interval sweep with a stop-position heap; no per-vertex \
-         arrays)")
+        "(MAXLIVE via interval sweep with a count of open intervals per stop \
+         key; no per-vertex arrays)")
 
 (* ----- NE1 / NE2: the numeric execution backend ----- *)
 

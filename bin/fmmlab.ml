@@ -535,7 +535,14 @@ let census_cmd =
     let alg = find_algorithm name in
     check_config ~cutoff alg ~n ~cmd:"census";
     let module Im = Fmm_cdag.Implicit in
-    let imp = Im.create ~cutoff alg ~n in
+    let imp =
+      (* a CDAG whose vertex or edge count overflows an int *)
+      match Im.create ~cutoff alg ~n with
+      | imp -> imp
+      | exception Invalid_argument msg ->
+        Printf.eprintf "fmmlab census: unsupported configuration: %s\n" msg;
+        exit 2
+    in
     Printf.printf "implicit CDAG %s H^{%dx%d} (%d recursion levels%s)\n"
       (A.name alg) n n (Im.levels imp)
       (if cutoff > 1 then Printf.sprintf ", cutoff %d" cutoff else "");

@@ -1,10 +1,11 @@
 (* The recursion-indexed CDAG. See the .mli for the id layout; the
-   short version is that a vertex id is decoded by walking the
+   short version is that a vertex id is located by walking the
    recursion tables (subtree sizes S(r), per-child chunk sizes C(r))
    from the root, peeling one tau digit per level, until the id falls
    in an encoder block, a decoder block, or a leaf Mult. Predecessors
    and successors then come straight out of the base algorithm's U/V/W
-   rows and columns — the graph is never stored.
+   rows and columns — the graph is never stored, and a query allocates
+   nothing (see the locator below).
 
    Everything here must reproduce Cdag.build's allocation order
    bit-exactly: encA block then encB block then child subtree per tau,
@@ -33,6 +34,8 @@ type t = {
   root_lo : int; (* 2 n^2 *)
   nv : int;
   ne : int;
+  somes : int option array; (* somes.(k) = Some (some_lo + k): preds' coefficients *)
+  some_lo : int;
 }
 
 let nnz_matrix m =
@@ -40,6 +43,16 @@ let nnz_matrix m =
     (fun acc row ->
       Array.fold_left (fun k c -> if c <> 0 then k + 1 else k) acc row)
     0 m
+
+(* Vertex and edge counts grow like t^L: past n = 2^20 for Strassen
+   they no longer fit a 63-bit int, and a wrapped count would decode
+   ids against a negative layout. Every count is built from
+   nonnegative sums and products, each checked. *)
+let too_large () =
+  invalid_arg "Implicit.create: n too large (vertex or edge count overflows an int)"
+
+let add_ck a b = if a > max_int - b then too_large () else a + b
+let mul_ck a b = if a <> 0 && b > max_int / a then too_large () else a * b
 
 let create ?(cutoff = 1) (alg : A.t) ~n =
   let n0, m0, k0 = A.dims alg in
@@ -58,24 +71,25 @@ let create ?(cutoff = 1) (alg : A.t) ~n =
     go 0 n
   in
   let size_at = Array.init (levels + 1) (fun d -> n / Fmm_util.Combinat.pow_int n0 d) in
+  let sq r = mul_ck r r in
   (* a leaf subtree is one Mult (cutoff 1) or a classical triple-loop
      block: per output (i, j), cutoff Mults then one Dec — c^2 (c + 1)
      vertices allocated in that interleaved order *)
-  let leaf_size = if cutoff = 1 then 1 else cutoff * cutoff * (cutoff + 1) in
+  let leaf_size = if cutoff = 1 then 1 else mul_ck (sq cutoff) (cutoff + 1) in
   let sub_size = Array.make (levels + 1) leaf_size in
   let chunk = Array.make (max levels 1) 0 in
   let dec_off = Array.make (max levels 1) 0 in
   for d = levels - 1 downto 0 do
     let r = size_at.(d) and h = size_at.(d + 1) in
-    chunk.(d) <- (2 * h * h) + sub_size.(d + 1);
-    dec_off.(d) <- t_rank * chunk.(d);
-    sub_size.(d) <- dec_off.(d) + (r * r)
+    chunk.(d) <- add_ck (mul_ck 2 (sq h)) sub_size.(d + 1);
+    dec_off.(d) <- mul_ck t_rank chunk.(d);
+    sub_size.(d) <- add_ck dec_off.(d) (sq r)
   done;
-  let n2 = n * n in
-  let nv = (2 * n2) + sub_size.(0) in
+  let n2 = sq n in
+  let nv = add_ck (mul_ck 2 n2) sub_size.(0) in
   (* E(leaf) = 2 for a Mult leaf; 3 c^3 for a classical leaf (2 operand
      edges per Mult, c weighted edges per Dec) *)
-  let leaf_edges = if cutoff = 1 then 2 else 3 * cutoff * cutoff * cutoff in
+  let leaf_edges = if cutoff = 1 then 2 else mul_ck 3 (mul_ck (sq cutoff) cutoff) in
   let ne =
     if levels = 0 then leaf_edges
     else begin
@@ -84,11 +98,19 @@ let create ?(cutoff = 1) (alg : A.t) ~n =
       (* E(r) = h^2 (nnz U + nnz V + nnz W) + t E(h) *)
       for d = levels - 1 downto 0 do
         let h = size_at.(d + 1) in
-        e := (h * h * per_node) + (t_rank * !e)
+        e := add_ck (mul_ck (sq h) per_node) (mul_ck t_rank !e)
       done;
       !e
     end
   in
+  (* one shared [Some c] per coefficient that can label an edge (the
+     leaf decoders' 1 included), so iter_preds allocates none *)
+  let c_lo = ref 1 and c_hi = ref 1 in
+  List.iter
+    (Array.iter (Array.iter (fun c -> c_lo := min !c_lo c; c_hi := max !c_hi c)))
+    [ u; v; w ];
+  let some_lo = max !c_lo (-64) in
+  let somes = Array.init (min !c_hi 64 - some_lo + 1) (fun k -> Some (some_lo + k)) in
   {
     base = alg;
     n;
@@ -109,6 +131,8 @@ let create ?(cutoff = 1) (alg : A.t) ~n =
     root_lo = 2 * n2;
     nv;
     ne;
+    somes;
+    some_lo;
   }
 
 (* the cutoff must travel with the view: dropping it silently re-read a
@@ -140,84 +164,73 @@ let is_output t id =
        ARRAY is a permutation of them, but as a set they are the tail) *)
     id >= t.nv - t.n2 && id < t.nv
 
-(* --- id decoding --- *)
+(* --- the locator ---
 
-type ctx = {
-  d : int; (* depth of the node *)
-  lo : int; (* subtree_lo *)
-  a_base : int; (* a_in.(i) = a_base + i *)
-  b_base : int;
-  p_lo : int; (* parent's subtree_lo; -1 at the root *)
-  tau_in : int; (* index of this node in its parent; -1 at the root *)
-}
+   One descent from the root peels a tau digit per level until the id
+   falls in an encoder block, a decoder block or a leaf, then hands the
+   terminal node to a continuation as plain ints: the vertex kind, the
+   node's depth d and subtree base lo, and the node's index tau_in in
+   its parent (-1 at the root; inputs are the root's operand entries).
+   Two query arguments ride along untouched. The rest of the node is
+   arithmetic, with r = size_at d:
 
-type loc =
-  | L_inp_a of int
-  | L_inp_b of int
-  | L_enc of bool * ctx * int * int * int (* a-side?, creating node, tau, i, j *)
-  | L_mult of ctx
-  | L_dec of ctx * int * int * int * int (* node, p, q, i, j *)
-  | L_lmult of ctx * int * int * int (* classical-leaf Mult: node, i, j, l *)
-  | L_ldec of ctx * int * int (* classical-leaf Dec: node, i, j *)
+     a_base = lo - 2 r^2,   b_base = lo - r^2,
+     parent lo = lo - 2 r^2 - tau_in * chunk (d - 1),
 
-let decode t id =
-  if id < 0 || id >= t.nv then
-    invalid_arg (Printf.sprintf "Implicit: vertex id %d out of range" id);
-  if id < t.n2 then L_inp_a id
-  else if id < 2 * t.n2 then L_inp_b (id - t.n2)
-  else begin
-    let rec go d lo a_base b_base p_lo tau_in =
-      let ctx = { d; lo; a_base; b_base; p_lo; tau_in } in
-      if d = t.levels then begin
-        if t.cutoff = 1 then L_mult ctx
-        else begin
-          (* classical leaf: output (i, j)'s c Mults then its Dec *)
-          let c = t.cutoff in
-          let rel = id - lo in
-          let opos = rel / (c + 1) and within = rel mod (c + 1) in
-          let i = opos / c and j = opos mod c in
-          if within < c then L_lmult (ctx, i, j, within) else L_ldec (ctx, i, j)
-        end
-      end
-      else begin
-        let rel = id - lo in
-        if rel >= t.dec_off.(d) then begin
-          let h = t.size_at.(d + 1) in
-          let alloc = rel - t.dec_off.(d) in
-          let j = alloc mod h in
-          let rest = alloc / h in
-          let i = rest mod h in
-          let pq = rest / h in
-          L_dec (ctx, pq / t.k0, pq mod t.k0, i, j)
-        end
-        else begin
-          let c = t.chunk.(d) in
-          let tau = rel / c and rem = rel mod c in
-          let h = t.size_at.(d + 1) in
-          let h2 = h * h in
-          if rem < h2 then L_enc (true, ctx, tau, rem / h, rem mod h)
-          else if rem < 2 * h2 then begin
-            let rem = rem - h2 in
-            L_enc (false, ctx, tau, rem / h, rem mod h)
-          end
-          else begin
-            let child_a = lo + (tau * c) in
-            go (d + 1) (child_a + (2 * h2)) child_a (child_a + h2) lo tau
-          end
-        end
-      end
+   and local coordinates (tau, i, j, p, q, l) are divided out where
+   they are used. The descent and every continuation are top-level
+   functions, so a query allocates nothing and writes nothing: one [t]
+   serves any number of domains, and queries nest (the liveness sweep
+   asks for successors inside a predecessor callback). *)
+
+type kind = Inp_a | Inp_b | Enc_a | Enc_b | Mult | Dec | Leaf_mult | Leaf_dec
+
+let rec descend t id d lo tau_in k x y =
+  if d = t.levels then begin
+    let kind =
+      if t.cutoff = 1 then Mult
+      else if (id - lo) mod (t.cutoff + 1) < t.cutoff then Leaf_mult
+      else Leaf_dec
     in
-    go 0 t.root_lo 0 t.n2 (-1) (-1)
+    k t id kind d lo tau_in x y
+  end
+  else begin
+    let rel = id - lo in
+    if rel >= t.dec_off.(d) then k t id Dec d lo tau_in x y
+    else begin
+      let c = t.chunk.(d) and h = t.size_at.(d + 1) in
+      let rem = rel mod c and h2 = h * h in
+      if rem < h2 then k t id Enc_a d lo tau_in x y
+      else if rem < 2 * h2 then k t id Enc_b d lo tau_in x y
+      else descend t id (d + 1) (lo + (rel - rem) + (2 * h2)) (rel / c) k x y
+    end
   end
 
-let role t id =
-  match decode t id with
-  | L_inp_a i -> Cdag.Input_a i
-  | L_inp_b i -> Cdag.Input_b i
-  | L_enc (true, _, _, _, _) -> Cdag.Enc_a
-  | L_enc (false, _, _, _, _) -> Cdag.Enc_b
-  | L_mult _ | L_lmult _ -> Cdag.Mult
-  | L_dec _ | L_ldec _ -> Cdag.Dec
+let locate t id k x y =
+  if id < 0 || id >= t.nv then
+    invalid_arg (Printf.sprintf "Implicit: vertex id %d out of range" id);
+  if id < t.n2 then k t id Inp_a 0 t.root_lo (-1) x y
+  else if id < t.root_lo then k t id Inp_b 0 t.root_lo (-1) x y
+  else descend t id 0 t.root_lo (-1) k x y
+
+let a_base t d lo =
+  let r = t.size_at.(d) in
+  lo - (2 * r * r)
+
+let b_base t d lo =
+  let r = t.size_at.(d) in
+  lo - (r * r)
+
+let k_role t id kind _ _ _ () () =
+  match kind with
+  | Inp_a -> Cdag.Input_a id
+  | Inp_b -> Cdag.Input_b (id - t.n2)
+  | Enc_a -> Cdag.Enc_a
+  | Enc_b -> Cdag.Enc_b
+  | Mult | Leaf_mult -> Cdag.Mult
+  | Dec | Leaf_dec -> Cdag.Dec
+
+let role t id = locate t id k_role () ()
 
 (* id of out-array entry [pos] (row-major) of the node at (d, lo) *)
 let out_entry_id t ~d ~lo pos =
@@ -239,51 +252,71 @@ let out_entry_id t ~d ~lo pos =
    Plain loops over [at] keep the hot adjacency queries closure-free. *)
 let at ~rev n k = if rev then n - 1 - k else k
 
-let iter_preds_dir t id ~rev ~f =
-  match decode t id with
-  | L_inp_a _ | L_inp_b _ -> ()
-  | L_mult ctx ->
-    if rev then (f ctx.b_base None; f ctx.a_base None)
-    else (f ctx.a_base None; f ctx.b_base None)
-  | L_lmult (ctx, i, j, l) ->
+(* Predecessors of the located vertex, each as [emit t f p c] with the
+   edge coefficient c as an int (0 on a Mult operand edge): [emit] is a
+   top-level adapter that turns it into what the caller's [f] takes. *)
+let preds_at t id kind d lo rev emit f =
+  match kind with
+  | Inp_a | Inp_b -> ()
+  | Mult ->
+    let a = a_base t d lo and b = b_base t d lo in
+    if rev then (emit t f b 0; emit t f a 0) else (emit t f a 0; emit t f b 0)
+  | Leaf_mult ->
     (* a_{il} then b_{lj}, the explicit builder's operand order *)
+    let c = t.cutoff and rel = id - lo in
+    let opos = rel / (c + 1) and l = rel mod (c + 1) in
+    let i = opos / c and j = opos mod c in
+    let a = a_base t d lo + (i * c) + l and b = b_base t d lo + (l * c) + j in
+    if rev then (emit t f b 0; emit t f a 0) else (emit t f a 0; emit t f b 0)
+  | Leaf_dec ->
+    (* output (i, j)'s c Mults are the c ids just below its Dec *)
     let c = t.cutoff in
-    let a = ctx.a_base + (i * c) + l and b = ctx.b_base + (l * c) + j in
-    if rev then (f b None; f a None) else (f a None; f b None)
-  | L_ldec (ctx, i, j) ->
-    let c = t.cutoff in
-    let base = ctx.lo + ((((i * c) + j) * (c + 1))) in
     for k = 0 to c - 1 do
-      f (base + at ~rev c k) (Some 1)
+      emit t f (id - c + at ~rev c k) 1
     done
-  | L_enc (is_a, ctx, tau, i, j) ->
-    let r = t.size_at.(ctx.d) and h = t.size_at.(ctx.d + 1) in
+  | Enc_a | Enc_b ->
+    let is_a = match kind with Enc_a -> true | _ -> false in
+    let r = t.size_at.(d) and h = t.size_at.(d + 1) and ch = t.chunk.(d) in
+    let rel = id - lo in
+    let tau = rel / ch and rem = (rel mod ch) - if is_a then 0 else h * h in
+    let i = rem / h and j = rem mod h in
     let row = (if is_a then t.u else t.v).(tau) in
     let cols0 = if is_a then t.m0 else t.k0 in
-    let base = if is_a then ctx.a_base else ctx.b_base in
+    let base = if is_a then a_base t d lo else b_base t d lo in
     let nb = Array.length row in
     for k = 0 to nb - 1 do
       let b = at ~rev nb k in
       let c = row.(b) in
       if c <> 0 then begin
         let row = ((b / cols0) * h) + i and col = ((b mod cols0) * h) + j in
-        f (base + (row * r) + col) (Some c)
+        emit t f (base + (row * r) + col) c
       end
     done
-  | L_dec (ctx, p, q, i, j) ->
-    let h = t.size_at.(ctx.d + 1) in
-    let wrow = t.w.((p * t.k0) + q) in
+  | Dec ->
+    let h = t.size_at.(d + 1) in
+    let alloc = id - lo - t.dec_off.(d) in
+    let j = alloc mod h and rest = alloc / h in
+    let i = rest mod h and pq = rest / h in
+    let wrow = t.w.(pq) and first_child = lo + (2 * h * h) in
     for k = 0 to t.t_rank - 1 do
       let tau = at ~rev t.t_rank k in
       let c = wrow.(tau) in
-      if c <> 0 then begin
-        let child_lo = ctx.lo + (tau * t.chunk.(ctx.d)) + (2 * h * h) in
-        f (out_entry_id t ~d:(ctx.d + 1) ~lo:child_lo ((i * h) + j)) (Some c)
-      end
+      if c <> 0 then
+        emit t f
+          (out_entry_id t ~d:(d + 1) ~lo:(first_child + (tau * t.chunk.(d))) ((i * h) + j))
+          c
     done
 
-let iter_preds t id ~f = iter_preds_dir t id ~rev:false ~f
-let iter_in_neighbors t id ~f = iter_preds_dir t id ~rev:true ~f:(fun p _ -> f p)
+let coeff_option t c =
+  let k = c - t.some_lo in
+  if k >= 0 && k < Array.length t.somes then t.somes.(k) else Some c
+
+let emit_pred t f p c = f p (if c = 0 then None else coeff_option t c)
+let emit_in _ f p _ = f p
+let k_preds t id kind d lo _ rev f = preds_at t id kind d lo rev emit_pred f
+let k_in_neighbors t id kind d lo _ rev f = preds_at t id kind d lo rev emit_in f
+let iter_preds t id ~f = locate t id k_preds false f
+let iter_in_neighbors t id ~f = locate t id k_in_neighbors true f
 
 let preds t id =
   let acc = ref [] in
@@ -292,7 +325,7 @@ let preds t id =
 
 let in_degree t id =
   let k = ref 0 in
-  iter_preds t id ~f:(fun _ _ -> incr k);
+  iter_in_neighbors t id ~f:(fun _ -> incr k);
   !k
 
 let edge_coeff t src dst =
@@ -342,15 +375,15 @@ let iter_operand_succs t ~rev ~is_a ~d ~lo pos ~f =
     done
   end
 
-(* consumers of out-array entry [pos] of the node at depth d whose
-   parent subtree starts at p_lo: the parent's decoders with a nonzero
-   W coefficient at column tau_in, in (p, q) order. Root out entries
+(* consumers of out-array entry [pos] of the node at (d, lo), child
+   [tau_in] of its parent: the parent's decoders with a nonzero W
+   coefficient at column tau_in, in (p, q) order. Root out entries
    have none. *)
-let iter_out_succs t ~rev ~d ~p_lo ~tau_in pos ~f =
+let iter_out_succs t ~rev ~d ~lo ~tau_in pos ~f =
   if d > 0 then begin
     let rc = t.size_at.(d) in
     let i = pos / rc and j = pos mod rc in
-    let dec_base = p_lo + t.dec_off.(d - 1) in
+    let dec_base = a_base t d lo - (tau_in * t.chunk.(d - 1)) + t.dec_off.(d - 1) in
     let npq = t.n0 * t.k0 in
     for k = 0 to npq - 1 do
       let pq = at ~rev npq k in
@@ -358,30 +391,36 @@ let iter_out_succs t ~rev ~d ~p_lo ~tau_in pos ~f =
     done
   end
 
-let iter_succs_dir t id ~rev ~f =
-  match decode t id with
-  | L_inp_a idx -> iter_operand_succs t ~rev ~is_a:true ~d:0 ~lo:t.root_lo idx ~f
-  | L_inp_b idx -> iter_operand_succs t ~rev ~is_a:false ~d:0 ~lo:t.root_lo idx ~f
-  | L_enc (is_a, ctx, tau, i, j) ->
-    (* this vertex is operand entry (i, j) of child [tau] *)
-    let h = t.size_at.(ctx.d + 1) in
-    let child_lo = ctx.lo + (tau * t.chunk.(ctx.d)) + (2 * h * h) in
-    iter_operand_succs t ~rev ~is_a ~d:(ctx.d + 1) ~lo:child_lo ((i * h) + j) ~f
-  | L_mult ctx -> iter_out_succs t ~rev ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in 0 ~f
-  | L_lmult (ctx, i, j, _) ->
-    (* sole consumer: the leaf Dec of output (i, j) *)
-    let c = t.cutoff in
-    f (ctx.lo + (((i * c) + j) * (c + 1)) + c)
-  | L_ldec (ctx, i, j) ->
-    iter_out_succs t ~rev ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in
-      ((i * t.cutoff) + j) ~f
-  | L_dec (ctx, p, q, i, j) ->
-    let r = t.size_at.(ctx.d) and h = t.size_at.(ctx.d + 1) in
-    let pos = (((p * h) + i) * r) + ((q * h) + j) in
-    iter_out_succs t ~rev ~d:ctx.d ~p_lo:ctx.p_lo ~tau_in:ctx.tau_in pos ~f
+let k_succs t id kind d lo tau_in rev f =
+  match kind with
+  | Inp_a -> iter_operand_succs t ~rev ~is_a:true ~d ~lo (id - a_base t d lo) ~f
+  | Inp_b -> iter_operand_succs t ~rev ~is_a:false ~d ~lo (id - b_base t d lo) ~f
+  | Enc_a | Enc_b ->
+    (* operand entry [pos] of child tau, whose chunk starts at
+       [child_a] and whose subtree follows its two operand blocks *)
+    let h = t.size_at.(d + 1) and ch = t.chunk.(d) in
+    let rel = id - lo in
+    let rem = rel mod ch in
+    let child_a = lo + rel - rem in
+    let is_a = match kind with Enc_a -> true | _ -> false in
+    let pos = if is_a then rem else rem - (h * h) in
+    iter_operand_succs t ~rev ~is_a ~d:(d + 1) ~lo:(child_a + (2 * h * h)) pos ~f
+  | Mult -> iter_out_succs t ~rev ~d ~lo ~tau_in 0 ~f
+  | Leaf_mult ->
+    (* sole consumer: the leaf Dec of its output, c + 1 ids per output *)
+    let c = t.cutoff and rel = id - lo in
+    f (lo + rel - (rel mod (c + 1)) + c)
+  | Leaf_dec -> iter_out_succs t ~rev ~d ~lo ~tau_in ((id - lo) / (t.cutoff + 1)) ~f
+  | Dec ->
+    let r = t.size_at.(d) and h = t.size_at.(d + 1) in
+    let alloc = id - lo - t.dec_off.(d) in
+    let j = alloc mod h and rest = alloc / h in
+    let i = rest mod h and pq = rest / h in
+    let p = pq / t.k0 and q = pq mod t.k0 in
+    iter_out_succs t ~rev ~d ~lo ~tau_in ((((p * h) + i) * r) + (q * h) + j) ~f
 
-let iter_succs t id ~f = iter_succs_dir t id ~rev:false ~f
-let iter_out_neighbors t id ~f = iter_succs_dir t id ~rev:true ~f
+let iter_succs t id ~f = locate t id k_succs false f
+let iter_out_neighbors t id ~f = locate t id k_succs true f
 
 let succs t id =
   let acc = ref [] in
@@ -390,7 +429,7 @@ let succs t id =
 
 let out_degree t id =
   let k = ref 0 in
-  iter_succs t id ~f:(fun _ -> incr k);
+  iter_out_neighbors t id ~f:(fun _ -> incr k);
   !k
 
 let outputs t =
@@ -498,12 +537,10 @@ let sub_inputs t ~r =
         done);
     List.rev !acc
 
-let is_sub_output t ~r id =
-  match decode t id with
-  | L_mult _ -> r = 1
-  | L_dec (ctx, _, _, _, _) -> t.size_at.(ctx.d) = r
-  | L_ldec (ctx, _, _) -> t.size_at.(ctx.d) = r
-  | _ -> false
+let k_sub_output t _ kind d _ _ r () =
+  match kind with Mult | Dec | Leaf_dec -> t.size_at.(d) = r | _ -> false
+
+let is_sub_output t ~r id = locate t id k_sub_output r ()
 
 (* --- censuses --- *)
 

@@ -31,19 +31,27 @@
     Ascending id order is a topological order of the graph (every edge
     goes from a lower to a higher id), which the streaming analyses in
     [Fmm_machine.Stream_exec] and [Fmm_analysis.Dataflow] exploit as a
-    canonical schedule. *)
+    canonical schedule.
+
+    A [t] is immutable and its queries keep no state: one value may be
+    shared by several domains, and queries may nest (a callback may
+    query again). [role] on a non-input, [is_sub_output], [iter_preds],
+    [iter_in_neighbors], [iter_succs] and [iter_out_neighbors] allocate
+    nothing themselves. *)
 
 type t
 
 val create : ?cutoff:int -> Fmm_bilinear.Algorithm.t -> n:int -> t
 (** Same preconditions as [Cdag.build]: square base, [n] a power of the
     base dimension, [cutoff] a power of the base dimension in [1, n].
-    O(log n) time and space. With [cutoff = c > 1] the fast recursion
-    stops at size-c nodes and each leaf is the classical triple-loop
-    sub-CDAG of [Cdag.build ~cutoff]: per output (i, j) in row-major
-    order, c Mult vertices (l = 0..c-1, operands a_{il}, b_{lj}) then
-    one Dec summing them with coefficient 1 — c^2 (c + 1) ids per leaf
-    in that interleaved allocation order. *)
+    O(log n) time and space. Raises [Invalid_argument] when the vertex
+    or edge count would overflow an int (Strassen beyond n = 2^20), so
+    every id of an accepted CDAG is queryable. With [cutoff = c > 1]
+    the fast recursion stops at size-c nodes and each leaf is the
+    classical triple-loop sub-CDAG of [Cdag.build ~cutoff]: per output
+    (i, j) in row-major order, c Mult vertices (l = 0..c-1, operands
+    a_{il}, b_{lj}) then one Dec summing them with coefficient 1 —
+    c^2 (c + 1) ids per leaf in that interleaved allocation order. *)
 
 val of_cdag : Cdag.t -> t
 (** The implicit view of an explicitly built CDAG (same base, same n,

@@ -198,7 +198,9 @@ type diff = {
   n_compared : int;  (** rows with a ratio present in both runs *)
   n_regressions : int;
   n_improvements : int;
-  n_unmatched : int;  (** current rows with a ratio the baseline lacks *)
+  n_unmatched : int;
+      (** current rows with a ratio the baseline lacks, plus current
+          experiments the baseline lacks entirely *)
 }
 
 let row_key (o : Experiment.outcome) (r : Metrics.row) =
@@ -225,33 +227,40 @@ let diff ~tolerance ?time_tolerance ~baseline ~current () =
   let lines = ref [] in
   let emit fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let compared = ref 0 and regs = ref 0 and imps = ref 0 and unmatched = ref 0 in
+  let check_row (o : Experiment.outcome) r =
+    match Metrics.ratio r with
+    | None -> ()
+    | Some cur -> (
+      let key = row_key o r in
+      match Hashtbl.find_opt tbl key with
+      | None ->
+        incr unmatched;
+        emit "  UNMATCHED %s: ratio %.3f (no baseline row)" key cur
+      | Some base ->
+        incr compared;
+        if cur > base *. (1. +. tolerance) then begin
+          incr regs;
+          emit "  REGRESSION %s: ratio %.3f -> %.3f (+%.1f%% > %.0f%% tolerance)"
+            key base cur
+            ((cur /. base -. 1.) *. 100.)
+            (tolerance *. 100.)
+        end
+        else if cur < base *. (1. -. tolerance) then begin
+          incr imps;
+          emit "  improved %s: ratio %.3f -> %.3f (%.1f%%)" key base cur
+            ((cur /. base -. 1.) *. 100.)
+        end)
+  in
   List.iter
     (fun (o : Experiment.outcome) ->
-      List.iter
-        (fun r ->
-          match Metrics.ratio r with
-          | None -> ()
-          | Some cur -> (
-            let key = row_key o r in
-            match Hashtbl.find_opt tbl key with
-            | None ->
-              incr unmatched;
-              emit "  UNMATCHED %s: ratio %.3f (no baseline row)" key cur
-            | Some base ->
-              incr compared;
-              if cur > base *. (1. +. tolerance) then begin
-                incr regs;
-                emit "  REGRESSION %s: ratio %.3f -> %.3f (+%.1f%% > %.0f%% tolerance)"
-                  key base cur
-                  ((cur /. base -. 1.) *. 100.)
-                  (tolerance *. 100.)
-              end
-              else if cur < base *. (1. -. tolerance) then begin
-                incr imps;
-                emit "  improved %s: ratio %.3f -> %.3f (%.1f%%)" key base cur
-                  ((cur /. base -. 1.) *. 100.)
-              end))
-        o.Experiment.rows;
+      (* an experiment the baseline lacks is ungated as a whole, whether
+         or not its rows carry a ratio *)
+      if List.mem_assoc o.Experiment.id base_wall then
+        List.iter (check_row o) o.Experiment.rows
+      else begin
+        incr unmatched;
+        emit "  UNMATCHED %s (no baseline experiment)" o.Experiment.id
+      end;
       (* wall-clock: gated only when a time tolerance is given — wall
          clocks are load-sensitive, ratios are not *)
       match (time_tolerance, List.assoc_opt o.Experiment.id base_wall) with

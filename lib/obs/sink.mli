@@ -51,10 +51,11 @@ val diff :
     than [tolerance] (relative) is a regression, below it an
     improvement. Per-experiment wall clocks are gated only when
     [time_tolerance] is given — wall clocks are load-sensitive, ratios
-    are not. A current row with no baseline row is counted in
-    [n_unmatched] (an [UNMATCHED] line). *)
+    are not. A current row with no baseline row, and a current
+    experiment whose id the baseline does not contain at all, are
+    counted in [n_unmatched] (an [UNMATCHED] line each). *)
 
 val passes : diff -> bool
-(** The gate fails closed: no regression and no unmatched row. A row
-    the baseline does not cover is ungated, so it fails the gate until
-    the baseline is regenerated. *)
+(** The gate fails closed: no regression and nothing unmatched. A row
+    or an experiment the baseline does not cover is ungated, so it
+    fails the gate until the baseline is regenerated. *)

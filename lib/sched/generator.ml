@@ -217,12 +217,8 @@ let split_implicit imp ~procs =
   for v = ni to nv - 1 do
     asg.(v) <- part_of_pos (v - ni)
   done;
-  (* one streamed sweep: per-value bitmask of consuming parts *)
-  let mask = Array.make nv 0 in
-  for v = ni to nv - 1 do
-    let p = asg.(v) in
-    Im.iter_preds imp v ~f:(fun u _ -> mask.(u) <- mask.(u) lor (1 lsl p))
-  done;
+  (* per value, the bitmask of the parts that consume it, from its
+     successors; an input goes to its lowest consuming part *)
   let popcount m =
     let c = ref 0 and m = ref m in
     while !m <> 0 do
@@ -238,9 +234,13 @@ let split_implicit imp ~procs =
     done;
     !b
   in
+  let mask = ref 0 in
+  let consume s = mask := !mask lor (1 lsl asg.(s)) in
   let total = ref 0 in
   for u = 0 to nv - 1 do
-    let m = mask.(u) in
+    mask := 0;
+    Im.iter_succs imp u ~f:consume;
+    let m = !mask in
     if m <> 0 then begin
       if u < ni then asg.(u) <- lowest_bit m;
       total := !total + popcount m - (if m land (1 lsl asg.(u)) <> 0 then 1 else 0)

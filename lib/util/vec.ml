@@ -7,6 +7,7 @@ type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 let create ~dummy = { data = Array.make 8 dummy; len = 0; dummy }
 
 let length t = t.len
+let clear t = t.len <- 0
 
 let push t x =
   if t.len = Array.length t.data then begin

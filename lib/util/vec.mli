@@ -8,6 +8,10 @@ val create : dummy:'a -> 'a t
 (** [dummy] fills unused capacity; it is never observable. *)
 
 val length : 'a t -> int
+
+val clear : 'a t -> unit
+(** Empty the vector, keeping its capacity (no allocation). *)
+
 val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

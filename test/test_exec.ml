@@ -288,6 +288,8 @@ let test_cli_degenerate_exit2 () =
         "exec -a Strassen -n 8 -m 32 --backend nosuch";
         "census -a Strassen -n 1";
         "census -a \"classical <2,2,3;12>\" -n 4";
+        (* the edge count overflows a 63-bit int *)
+        "census -a Strassen -n 2097152";
         (* hybrid cutoff contract: 0, > n and non-powers of the base
            dimension are degenerate for CDAG-building commands *)
         "exec -a Strassen -n 8 -m 32 --cutoff 0";
@@ -334,6 +336,16 @@ let test_cli_hybrid_census () =
       Alcotest.(check bool) "MAXLIVE reported" true (contains text "MAXLIVE =");
       Alcotest.(check bool) "segments reported" true (contains text "Lemma 3.6 holds"))
 
+(* the largest Strassen census whose counts fit an int: its ids reach
+   5.6e17, and the sampled lint queries them across the whole range *)
+let test_cli_full_range_census () =
+  if not (Sys.file_exists fmmlab_exe) then Alcotest.skip ();
+  with_temp (fun out ->
+      let args = "census -a Strassen -n 1048576 --lint" in
+      Alcotest.(check int) ("exit 0: " ^ args) 0 (run_cli ~out args);
+      Alcotest.(check bool) "zero lint errors" true
+        (contains (read_file out) "implicit lint: 0 error(s)"))
+
 (* the baseline gate fails closed: a row the baseline lacks exits 1 *)
 let test_cli_baseline_fails_closed () =
   let module Json = Fmm_obs.Json in
@@ -357,7 +369,13 @@ let test_cli_baseline_fails_closed () =
           Json.to_file partial
             (Sink.report_to_json ~created:0. (List.map drop_last_row outcomes));
           Alcotest.(check int) "exit 1: T1 row missing from the baseline" 1
-            (run_cli ("bench --filter T1 --quiet --baseline " ^ Filename.quote partial))))
+            (run_cli ("bench --filter T1 --quiet --baseline " ^ Filename.quote partial));
+          (* and so does an experiment it lacks, though F1 has no ratio row *)
+          with_temp (fun out ->
+              Alcotest.(check int) "exit 1: F1 missing from a T1 baseline" 1
+                (run_cli ~out ("bench --filter F1 --quiet --baseline " ^ Filename.quote full));
+              Alcotest.(check bool) "UNMATCHED names F1" true
+                (contains (read_file out) "UNMATCHED F1"))))
 
 let () =
   Alcotest.run "fmm_exec"
@@ -393,6 +411,7 @@ let () =
           Alcotest.test_case "degenerate configs exit 2" `Quick
             test_cli_degenerate_exit2;
           Alcotest.test_case "hybrid census streams" `Quick test_cli_hybrid_census;
+          Alcotest.test_case "full id range census" `Quick test_cli_full_range_census;
           Alcotest.test_case "baseline gate fails closed" `Quick
             test_cli_baseline_fails_closed;
         ] );

@@ -335,9 +335,14 @@ let test_rejects () =
   (match Im.create strassen ~n:3 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "n=3 accepted for a 2x2 base");
-  match Im.create strassen ~n:0 with
+  (match Im.create strassen ~n:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "n=0 accepted"
+  | _ -> Alcotest.fail "n=0 accepted");
+  (* the edge count of n = 2^21 overflows a 63-bit int: refused, never
+     wrapped into a negative census *)
+  match Im.create strassen ~n:(1 lsl 21) with
+  | exception Invalid_argument _ -> ()
+  | imp -> Alcotest.failf "n=2^21 accepted with %d edges" (Im.n_edges imp)
 
 (* --- the two backings of the Workload view --- *)
 
@@ -577,6 +582,88 @@ let test_large_census () =
     v := !v + stride
   done
 
+(* --- allocation: queries and the streamed sweep produce no garbage ---
+
+   Allocation counts are deterministic, so these bounds are exact. *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let ignore_pred _ _ = ()
+let ignore_vertex _ = ()
+
+let check_alloc_free_queries ?(cutoff = 1) alg n =
+  let name = case_name ~cutoff alg n in
+  let imp = Im.create ~cutoff alg ~n in
+  let ni = Im.n_inputs imp and nv = Im.n_vertices imp in
+  (* 10 000 non-input ids spread over the whole id range (an input's
+     role carries its index, so it is left out) *)
+  let calls = 10_000 in
+  let id k = ni + (k * 7919 mod (nv - ni)) in
+  let probe =
+    minor_words_of (fun () ->
+        for k = 1 to calls do
+          ignore (Sys.opaque_identity (id k))
+        done)
+  in
+  let guard what query =
+    let words =
+      minor_words_of (fun () ->
+          for k = 1 to calls do
+            query (id k)
+          done)
+    in
+    if words -. probe <> 0. then
+      Alcotest.failf "%s: %d calls of %s allocate %.0f words" name calls what
+        (words -. probe)
+  in
+  guard "iter_in_neighbors" (fun v -> Im.iter_in_neighbors imp v ~f:ignore_vertex);
+  guard "iter_out_neighbors" (fun v -> Im.iter_out_neighbors imp v ~f:ignore_vertex);
+  guard "iter_preds" (fun v -> Im.iter_preds imp v ~f:ignore_pred);
+  guard "is_sub_output" (fun v -> ignore (Sys.opaque_identity (Im.is_sub_output imp ~r:cutoff v)));
+  guard "role" (fun v -> ignore (Sys.opaque_identity (Im.role imp v)))
+
+let test_alloc_free_queries () =
+  List.iter (fun (alg, n) -> check_alloc_free_queries alg n) square_cases;
+  List.iter (fun (alg, n, c) -> check_alloc_free_queries ~cutoff:c alg n) hybrid_cases
+
+(* the liveness sweep allocates its O(maxlive) table and its summary,
+   never anything per vertex *)
+let test_sweep_alloc () =
+  let imp = Im.create strassen ~n:32 in
+  let words_per_byte = 1. /. float_of_int (Sys.word_size / 8) in
+  let b0 = Gc.allocated_bytes () in
+  let s = Df.implicit_order_liveness imp in
+  let words = (Gc.allocated_bytes () -. b0) *. words_per_byte in
+  check Alcotest.int "sweep length" (Im.n_vertices imp - Im.n_inputs imp) s.Df.Streamed.length;
+  if words >= float_of_int (Im.n_vertices imp) then
+    Alcotest.failf "implicit_order_liveness allocates %.0f words for %d vertices" words
+      (Im.n_vertices imp)
+
+(* --- one view, two domains ---
+
+   [Implicit.t] is immutable and its queries keep no hidden state, so
+   the streamed LRU run and the liveness sweep can share one value from
+   two domains and still match their sequential results. *)
+let test_shared_view () =
+  let imp = Im.create strassen ~n:32 in
+  let cache_size = 256 in
+  let lru () = SE.run_lru imp ~cache_size () in
+  let live () = Df.implicit_order_liveness imp in
+  let seq_lru = lru () and seq_live = live () in
+  let d = Domain.spawn lru in
+  let par_live = live () in
+  let par_lru = Domain.join d in
+  if par_lru <> seq_lru then
+    Alcotest.failf "shared-view LRU counters differ (%s vs %s)"
+      (Format.asprintf "%a" Fmm_machine.Trace.pp_counters par_lru)
+      (Format.asprintf "%a" Fmm_machine.Trace.pp_counters seq_lru);
+  check Alcotest.int "shared-view MAXLIVE" seq_live.Df.Streamed.maxlive
+    par_live.Df.Streamed.maxlive;
+  if par_live <> seq_live then Alcotest.fail "shared-view liveness summary differs"
+
 let () =
   Alcotest.run "fmm_implicit"
     [
@@ -610,4 +697,11 @@ let () =
         ] );
       ( "scale",
         [ Alcotest.test_case "n=256 censuses" `Quick test_large_census ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "allocation-free queries" `Quick test_alloc_free_queries;
+          Alcotest.test_case "liveness sweep" `Quick test_sweep_alloc;
+        ] );
+      ( "domains",
+        [ Alcotest.test_case "shared view" `Quick test_shared_view ] );
     ]

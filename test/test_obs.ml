@@ -245,7 +245,16 @@ let test_diff_fails_closed () =
   Alcotest.(check int) "no regressions" 0 d.Sink.n_regressions;
   Alcotest.(check bool) "unmatched row fails" false (Sink.passes d);
   Alcotest.(check bool) "line names the row" true
-    (List.exists (fun l -> String.length l > 11 && String.sub l 2 9 = "UNMATCHED") d.Sink.lines)
+    (List.exists (fun l -> String.length l > 11 && String.sub l 2 9 = "UNMATCHED") d.Sink.lines);
+  (* a whole experiment the baseline lacks fails the gate even when no
+     row of it carries a ratio *)
+  let no_ratio = { (outcome_with_ratio "Z" 1.0) with Exp.rows = [] } in
+  let d = Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ no_ratio ] () in
+  Alcotest.(check int) "nothing compared" 0 d.Sink.n_compared;
+  Alcotest.(check int) "experiment unmatched" 1 d.Sink.n_unmatched;
+  Alcotest.(check bool) "unmatched experiment fails" false (Sink.passes d);
+  Alcotest.(check (list string)) "line names the experiment"
+    [ "  UNMATCHED Z (no baseline experiment)" ] d.Sink.lines
 
 let test_diff_time_gate () =
   let base = [ outcome_with_ratio "X" 1.2 ] in
