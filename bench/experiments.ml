@@ -681,7 +681,7 @@ let _rc =
               Some
                 (Sch.run_rematerialize (work S.strassen 16) ~cache_size:mm
                    (dfs_order S.strassen 16))
-            with Failure _ -> None
+            with Failure _ | Sch.Cache_too_small _ -> None
           in
           let bound = B.fast_sequential ~n:16 ~m:mm () in
           let spill_io = Tr.io lru.Sch.counters in
@@ -919,7 +919,7 @@ let _lu =
             (* rematerializing a deep elimination DAG explodes; cap the
                budget and skip the cell where it blows past it *)
             try Some (Sch.run_rematerialize ~max_flops:2_000_000 w ~cache_size:mm order)
-            with Failure _ -> None
+            with Failure _ | Sch.Cache_too_small _ -> None
           in
           Obs.rowf m ~section
             ~params:[ ("n", i n); ("M", i mm) ]
@@ -1189,7 +1189,7 @@ let _an2 =
       let trace = (Sch.run_lru w ~cache_size:mm o).Sch.trace in
       let _, base = Tc.check_cached ~cache_size:mm w trace in
       let mutated =
-        let arr = Array.of_list trace in
+        let arr = Array.of_list (Tr.to_list trace) in
         let k = ref (-1) in
         (try
            for p = Array.length arr / 2 to Array.length arr - 2 do
@@ -1205,7 +1205,7 @@ let _an2 =
           arr.(!k) <- arr.(!k + 1);
           arr.(!k + 1) <- tmp
         end;
-        Array.to_list arr
+        Tr.of_list (Array.to_list arr)
       in
       let reps = 10 in
       let t3 = Unix.gettimeofday () in
@@ -1227,7 +1227,7 @@ let _an2 =
       Obs.rowf m ~section:"oracle unit cost (one swapped-Load mutation)"
         ~params:[ ("n", i n); ("M", i mm) ]
         [
-          ("trace events", i (List.length trace));
+          ("trace events", i (Tr.length trace));
           ("replayed", i !v.Tc.replayed);
           ("reused prefix", i !v.Tc.reused_prefix);
           ("reused suffix", i !v.Tc.reused_suffix);

@@ -58,6 +58,19 @@ let find_algorithm name =
 let n_arg default =
   Arg.(value & opt int default & info [ "n" ] ~doc:"Matrix dimension")
 
+let unsupported ~cmd msg =
+  Printf.eprintf "fmmlab %s: unsupported configuration: %s\n" cmd msg;
+  exit 2
+
+(* A cache too small for a policy's schedule is found only by running
+   it (at n = 16 rematerialization fails at M = 8 where LRU runs at
+   M = 5), and it is a configuration the machine cannot run, not a bug:
+   exit 2 like the configurations rejected up front. *)
+let schedule_or_exit ~cmd f =
+  match f () with
+  | v -> v
+  | exception Sch.Cache_too_small msg -> unsupported ~cmd msg
+
 let m_arg default =
   Arg.(value & opt int default & info [ "m"; "memory" ] ~doc:"Fast/local memory size")
 
@@ -169,8 +182,9 @@ let simulate_cmd =
     in
     let workload = Fmm_machine.Workload.of_cdag cdag in
     let res =
-      if remat then Sch.run_rematerialize workload ~cache_size:m order
-      else Sch.run_lru workload ~cache_size:m order
+      schedule_or_exit ~cmd:"simulate" (fun () ->
+          if remat then Sch.run_rematerialize workload ~cache_size:m order
+          else Sch.run_lru workload ~cache_size:m order)
     in
     let c = res.Sch.counters in
     Printf.printf "algorithm   %s\n" (A.name alg);
@@ -221,7 +235,7 @@ let analyze_cmd =
     (* pass 1: CDAG structure *)
     let lint_report = An_c.lint cdag in
     (* pass 2: an LRU trace of the schedule, optionally corrupted *)
-    let res = Sch.run_lru work ~cache_size:m order in
+    let res = schedule_or_exit ~cmd:"analyze" (fun () -> Sch.run_lru work ~cache_size:m order) in
     let trace =
       match corrupt with
       | "none" | "race" -> res.Sch.trace
@@ -229,17 +243,19 @@ let analyze_cmd =
         (* delete the first Load: its consumer's Compute loses an
            operand at a precise step *)
         let removed = ref false in
-        List.filter
-          (fun e ->
-            match e with
-            | Tr.Load _ when not !removed ->
-              removed := true;
-              false
-            | _ -> true)
-          res.Sch.trace
+        Tr.of_list
+          (List.filter
+             (fun e ->
+               match e with
+               | Tr.Load _ when not !removed ->
+                 removed := true;
+                 false
+               | _ -> true)
+             (Tr.to_list res.Sch.trace))
       | "overflow" ->
         (* delete every Evict: occupancy climbs past M *)
-        List.filter (function Tr.Evict _ -> false | _ -> true) res.Sch.trace
+        Tr.of_list
+          (List.filter (function Tr.Evict _ -> false | _ -> true) (Tr.to_list res.Sch.trace))
       | o ->
         Printf.eprintf "unknown corruption %S (none|missing-load|overflow|race)\n" o;
         exit 2
@@ -291,7 +307,7 @@ let analyze_cmd =
       [
         (Printf.sprintf "CDAG lint: %s H^{%dx%d}" (A.name alg) n n, lint_report);
         ( Printf.sprintf "trace check: LRU/%s at M=%d (%d events)" order_name m
-            (List.length trace),
+            (Tr.length trace),
           trace_result.An_t.report );
         ( Printf.sprintf "parallel race check: BFS depth %d on %d processors"
             depth procs,
@@ -518,9 +534,7 @@ let cdag_cmd =
 let check_config ?(cutoff = 1) alg ~n ~cmd =
   match Fmm_exec.Executor.validate_config ~cutoff alg ~n with
   | Ok () -> ()
-  | Error msg ->
-    Printf.eprintf "fmmlab %s: unsupported configuration: %s\n" cmd msg;
-    exit 2
+  | Error msg -> unsupported ~cmd msg
 
 let cutoff_arg =
   let doc =
@@ -539,9 +553,7 @@ let census_cmd =
       (* a CDAG whose vertex or edge count overflows an int *)
       match Im.create ~cutoff alg ~n with
       | imp -> imp
-      | exception Invalid_argument msg ->
-        Printf.eprintf "fmmlab census: unsupported configuration: %s\n" msg;
-        exit 2
+      | exception Invalid_argument msg -> unsupported ~cmd:"census" msg
     in
     Printf.printf "implicit CDAG %s H^{%dx%d} (%d recursion levels%s)\n"
       (A.name alg) n n (Im.levels imp)
@@ -592,7 +604,9 @@ let census_cmd =
       in
       let module Seg = Fmm_machine.Segments in
       let t0 = Unix.gettimeofday () in
-      let seg, counters = Seg.analyze_implicit imp ~cache_size:m ~r () in
+      let seg, counters =
+        schedule_or_exit ~cmd:"census" (fun () -> Seg.analyze_implicit imp ~cache_size:m ~r ())
+      in
       let dt = Unix.gettimeofday () -. t0 in
       Printf.printf "\nstreaming LRU at M = %d (%.1fs): %s\n" m dt
         (Format.asprintf "%a" Tr.pp_counters counters);
@@ -673,7 +687,7 @@ let exec_cmd =
       exit 2
     end;
     let cdag = Cd.build ~cutoff alg ~n in
-    let sched = Ex.schedule cdag ~cache_size:m policy in
+    let sched = schedule_or_exit ~cmd:"exec" (fun () -> Ex.schedule cdag ~cache_size:m policy) in
     let pc = sched.Sch.counters in
     (* one execution per backend on the domain pool; each backend
        derives its own operand seed, so the report is byte-identical at
@@ -886,7 +900,7 @@ let hybrid_cmd =
                   | Ex.Remat -> Sch.run_rematerialize work ~cache_size:m order
                 with
                 | s -> Ok s.Sch.counters
-                | exception Failure msg -> Error msg
+                | exception (Failure msg | Sch.Cache_too_small msg) -> Error msg
               in
               {
                 hp_m = m;
@@ -1113,7 +1127,7 @@ let fft_cmd =
       (Fmm_graph.Digraph.n_edges bf.Bf.graph)
       bf.Bf.levels;
     let order = Bf.blocked_order bf ~block:(max 2 (m / 4)) in
-    let res = Sch.run_lru w ~cache_size:m order in
+    let res = schedule_or_exit ~cmd:"fft" (fun () -> Sch.run_lru w ~cache_size:m order) in
     let bound = B.fft_memdep ~n ~m ~p:1 in
     Printf.printf "blocked schedule at M = %d: I/O = %d, bound = %.1f, ratio = %.2f\n"
       m (Tr.io res.Sch.counters) bound
@@ -1273,8 +1287,9 @@ let bench_cmd =
   in
   let baseline_arg =
     let doc =
-      "Compare this run's bound ratios against the report in $(docv); exit 1 \
-       if any regresses beyond the tolerance or has no baseline row."
+      "Compare this run against the report in $(docv); exit 1 if a bound \
+       ratio regresses beyond the tolerance, an integer count differs, or \
+       a row has no baseline row."
     in
     Arg.(value & opt (some string) None & info [ "baseline" ] ~doc ~docv:"FILE")
   in
@@ -1315,7 +1330,8 @@ let optimize_cmd =
     let jobs = max 1 jobs in
     let oracle_mode = if full_replay then O.Full_replay else O.Incremental in
     let r =
-      O.optimize_cdag cdag ~cache_size:m ~beam ~iters ~seed ~oracle_mode ~jobs
+      schedule_or_exit ~cmd:"optimize" (fun () ->
+          O.optimize_cdag cdag ~cache_size:m ~beam ~iters ~seed ~oracle_mode ~jobs)
     in
     let best = r.O.best in
     let c = best.O.result.Sch.counters in

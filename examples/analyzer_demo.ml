@@ -53,13 +53,14 @@ let () =
   print_endline "=== corruption 1: delete the first Load of the trace ===";
   let deleted = ref false in
   let corrupted =
-    List.filter
-      (function
-        | Tr.Load _ when not !deleted ->
-          deleted := true;
-          false
-        | _ -> true)
-      res.Sch.trace
+    Tr.of_list
+      (List.filter
+         (function
+           | Tr.Load _ when not !deleted ->
+             deleted := true;
+             false
+           | _ -> true)
+         (Tr.to_list res.Sch.trace))
   in
   let bad = Tc.check ~cache_size:m w corrupted in
   print_endline (Dg.render ~limit:3 bad.Tc.report);

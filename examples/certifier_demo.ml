@@ -60,7 +60,7 @@ let () =
   let trace = (Sch.run_lru w ~cache_size:m order).Sch.trace in
   let _, base = Tc.check_cached ~cache_size:m w trace in
   (* mutate one window: swap two adjacent loads mid-trace *)
-  let arr = Array.of_list trace in
+  let arr = Array.of_list (Tr.to_list trace) in
   let rec find i =
     match (arr.(i), arr.(i + 1)) with
     | Tr.Load a, Tr.Load b when a <> b -> i
@@ -70,7 +70,7 @@ let () =
   let tmp = arr.(i) in
   arr.(i) <- arr.(i + 1);
   arr.(i + 1) <- tmp;
-  let v = Tc.check_delta ~base w (Array.to_list arr) in
+  let v = Tc.check_delta ~base w (Tr.of_list (Array.to_list arr)) in
   Printf.printf
     "  %d-event trace, one swapped window: %d reused (prefix), %d replayed, %d reused (suffix)\n"
     (Array.length arr) v.Tc.reused_prefix v.Tc.replayed v.Tc.reused_suffix;

@@ -72,7 +72,7 @@ let () =
       let lru = Sch.run_lru (W.of_cdag cdag) ~cache_size:m order in
       let rem =
         try Some (Sch.run_rematerialize (W.of_cdag cdag) ~cache_size:m order)
-        with Failure _ -> None
+        with Failure _ | Sch.Cache_too_small _ -> None
       in
       let bound = B.fast_sequential ~n:16 ~m () in
       match rem with

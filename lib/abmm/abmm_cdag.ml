@@ -165,21 +165,23 @@ let stage_census t =
 (** Share of Compute events per stage in a trace (the Theorem 4.1
     premise, measured on the executed schedule). *)
 let stage_compute_shares t (trace : Fmm_machine.Trace.t) =
-  let totals = Hashtbl.create 4 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Fmm_machine.Trace.Compute v ->
-        let s = stage_to_string t.stage_of.(v) in
-        Hashtbl.replace totals s (1 + Option.value ~default:0 (Hashtbl.find_opt totals s))
-      | _ -> ())
-    trace;
-  let all = Hashtbl.fold (fun _ c acc -> acc + c) totals 0 in
+  let module Tr = Fmm_machine.Trace in
+  let index = function Phi -> 0 | Psi -> 1 | Core -> 2 | Nu_inv -> 3 in
+  let counts = Array.make 4 0 in
+  for i = 0 to Tr.length trace - 1 do
+    let c = Tr.code trace i in
+    match Tr.kind c with
+    | `Compute ->
+      let k = index t.stage_of.(Tr.vertex c) in
+      counts.(k) <- counts.(k) + 1
+    | `Load | `Store | `Evict -> ()
+  done;
+  let all = Array.fold_left ( + ) 0 counts in
   List.map
     (fun s ->
-      let c = Option.value ~default:0 (Hashtbl.find_opt totals s) in
-      (s, c, if all = 0 then 0. else float_of_int c /. float_of_int all))
-    [ "phi"; "psi"; "core"; "nu-inv" ]
+      let c = counts.(index s) in
+      (stage_to_string s, c, if all = 0 then 0. else float_of_int c /. float_of_int all))
+    [ Phi; Psi; Core; Nu_inv ]
 
 (* --- semantic evaluation --- *)
 

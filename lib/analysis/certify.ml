@@ -108,7 +108,7 @@ let run ?(jobs = 1) ?cdag ?segment_r ?max_flops ~cache_size (work : W.t)
           let chk = Tc.check ~cache_size work r.Sch.trace in
           let prof = Df.trace_profile work r.Sch.trace in
           (name, Some (r, chk, prof))
-        | exception Failure _ -> (name, None))
+        | exception (Failure _ | Sch.Cache_too_small _) -> (name, None))
       policies
   in
   let lru_trace = ref None in

@@ -2,7 +2,7 @@
    a deterministic worklist fixpoint over Digraph, Zobrist state
    hashing for the incremental trace oracle, and the schedule-level
    liveness analyses (MAXLIVE, static I/O lower bound, trace
-   occupancy/live profiles).
+   occupancy/live peaks).
 
    Determinism is the design constraint that shapes everything here:
    the worklist is a flat int ring seeded in id order with dedup, the
@@ -326,125 +326,116 @@ let streamed_io_lower_bound (s : Streamed.t) ~cache_size =
 let io_lower_bound lv ~cache_size =
   lv.inputs_used + lv.outputs_stored + max 0 (lv.maxlive - cache_size)
 
-(* --- per-position profile of a concrete trace --- *)
+(* --- cache profile of a concrete trace --- *)
 
 type profile = {
-  occupancy_at : int array;
-  live_at_event : int array;
   peak_occupancy : int;
   peak_live : int;
   min_cache : int;
 }
 
-(* Access kinds in per-vertex access streams. *)
-let k_def = 0 (* Load v / Compute v: (re)materializes v in cache *)
-let k_read = 1 (* Store v / operand read: residency serves a use *)
-let k_drop = 2 (* Evict v *)
+(* Access kinds in per-vertex access streams, one byte each. *)
+let k_def = '\000' (* Load v / Compute v: (re)materializes v in cache *)
+let k_read = '\001' (* Store v / operand read: residency serves a use *)
+let k_drop = '\002' (* Evict v *)
 
+(* The trace is read in place, three times (count, record, replay); per
+   vertex the profile keeps an offset and a cursor into one byte per
+   access, and every callback is built once per run. *)
 let trace_profile work trace =
   let n = W.n_vertices work in
   let g = W.graph work in
-  let events = Array.of_list trace in
-  let t_len = Array.length events in
+  let t_len = Tr.length trace in
   let in_range v = v >= 0 && v < n in
-  (* pass 1: per-vertex access counts (operands of a compute are one
-     access each; out-of-range vertices are skipped — the tolerant
-     discipline of Trace_check) *)
-  let cnt = Array.make n 0 in
-  let tally v = if in_range v then cnt.(v) <- cnt.(v) + 1 in
-  Array.iter
-    (fun e ->
-      match e with
-      | Tr.Load v | Tr.Store v | Tr.Evict v -> tally v
-      | Tr.Compute v ->
-        if in_range v then begin
-          List.iter tally (D.in_neighbors g v);
-          tally v
-        end)
-    events;
-  let off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + cnt.(v)
-  done;
-  let kinds = Array.make (max 1 off.(n)) 0 in
-  let cursor = Array.copy off in
-  let record v k =
+  (* a vertex v's accesses are [kinds.[first.(v) .. first.(v+1) - 1]]
+     in trace order; operands of a compute are one access each and
+     out-of-range vertices are skipped (the tolerant discipline of
+     Trace_check) *)
+  let first = Array.make (n + 1) 0 in
+  let tally v = first.(v + 1) <- first.(v + 1) + 1 in
+  for t = 0 to t_len - 1 do
+    let c = Tr.code trace t in
+    let v = Tr.vertex c in
     if in_range v then begin
-      kinds.(cursor.(v)) <- k;
-      cursor.(v) <- cursor.(v) + 1
+      (match Tr.kind c with `Compute -> List.iter tally (D.in_neighbors g v) | _ -> ());
+      tally v
     end
+  done;
+  for v = 0 to n - 1 do
+    first.(v + 1) <- first.(v + 1) + first.(v)
+  done;
+  let kinds = Bytes.make (max 1 first.(n)) k_def in
+  let cursor = Array.sub first 0 n in
+  let record k v =
+    Bytes.set kinds cursor.(v) k;
+    cursor.(v) <- cursor.(v) + 1
   in
-  Array.iter
-    (fun e ->
-      match e with
-      | Tr.Load v -> record v k_def
-      | Tr.Store v -> record v k_read
-      | Tr.Evict v -> record v k_drop
-      | Tr.Compute v ->
-        if in_range v then begin
-          List.iter (fun p -> record p k_read) (D.in_neighbors g v);
-          record v k_def
-        end)
-    events;
+  let rec record_reads = function
+    | [] -> ()
+    | p :: rest ->
+      record k_read p;
+      record_reads rest
+  in
+  let kind_of c =
+    match Tr.kind c with `Load | `Compute -> k_def | `Store -> k_read | `Evict -> k_drop
+  in
+  for t = 0 to t_len - 1 do
+    let c = Tr.code trace t in
+    let v = Tr.vertex c in
+    if in_range v then begin
+      (match Tr.kind c with `Compute -> record_reads (D.in_neighbors g v) | _ -> ());
+      record (kind_of c) v
+    end
+  done;
   (* pass 2: replay residency; a resident value is *live* when its
      next access (before any eviction) is a read *)
-  let ptr = Array.sub off 0 n in
+  Array.blit first 0 cursor 0 n;
   let resident = Bitset.create n in
   let live = Bitset.create n in
   let occ = ref 0 and live_n = ref 0 in
   let peak_occ = ref 0 and peak_live = ref 0 in
-  let occupancy_at = Array.make t_len 0 in
-  let live_at_event = Array.make t_len 0 in
-  let touch v k =
-    if in_range v then begin
-      ptr.(v) <- ptr.(v) + 1;
-      (if k = k_def then begin
-         if not (Bitset.mem resident v) then begin
-           Bitset.add resident v;
-           incr occ;
-           if !occ > !peak_occ then peak_occ := !occ
-         end
+  let touch k v =
+    cursor.(v) <- cursor.(v) + 1;
+    (if k = k_def then begin
+       if not (Bitset.mem resident v) then begin
+         Bitset.add resident v;
+         incr occ;
+         if !occ > !peak_occ then peak_occ := !occ
        end
-       else if k = k_drop then
-         if Bitset.mem resident v then begin
-           Bitset.remove resident v;
-           decr occ
-         end);
-      let now_live =
-        Bitset.mem resident v
-        && ptr.(v) < off.(v + 1)
-        && kinds.(ptr.(v)) = k_read
-      in
-      if now_live <> Bitset.mem live v then
-        if now_live then begin
-          Bitset.add live v;
-          incr live_n;
-          if !live_n > !peak_live then peak_live := !live_n
-        end
-        else begin
-          Bitset.remove live v;
-          decr live_n
-        end
-    end
+     end
+     else if k = k_drop then
+       if Bitset.mem resident v then begin
+         Bitset.remove resident v;
+         decr occ
+       end);
+    let now_live =
+      Bitset.mem resident v
+      && cursor.(v) < first.(v + 1)
+      && Bytes.get kinds cursor.(v) = k_read
+    in
+    if now_live <> Bitset.mem live v then
+      if now_live then begin
+        Bitset.add live v;
+        incr live_n;
+        if !live_n > !peak_live then peak_live := !live_n
+      end
+      else begin
+        Bitset.remove live v;
+        decr live_n
+      end
   in
-  Array.iteri
-    (fun t e ->
-      (match e with
-      | Tr.Load v -> touch v k_def
-      | Tr.Store v -> touch v k_read
-      | Tr.Evict v -> touch v k_drop
-      | Tr.Compute v ->
-        if in_range v then begin
-          List.iter (fun p -> touch p k_read) (D.in_neighbors g v);
-          touch v k_def
-        end);
-      occupancy_at.(t) <- !occ;
-      live_at_event.(t) <- !live_n)
-    events;
-  {
-    occupancy_at;
-    live_at_event;
-    peak_occupancy = !peak_occ;
-    peak_live = !peak_live;
-    min_cache = !peak_occ;
-  }
+  let rec touch_reads = function
+    | [] -> ()
+    | p :: rest ->
+      touch k_read p;
+      touch_reads rest
+  in
+  for t = 0 to t_len - 1 do
+    let c = Tr.code trace t in
+    let v = Tr.vertex c in
+    if in_range v then begin
+      (match Tr.kind c with `Compute -> touch_reads (D.in_neighbors g v) | _ -> ());
+      touch (kind_of c) v
+    end
+  done;
+  { peak_occupancy = !peak_occ; peak_live = !peak_live; min_cache = !peak_occ }

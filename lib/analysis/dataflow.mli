@@ -15,9 +15,9 @@
        compute order — MAXLIVE, the spill-free minimum cache),
        {!io_lower_bound} (a policy-independent static I/O lower bound
        for every no-recomputation schedule of a given order), and
-       {!trace_profile} (per-position occupancy/live profile of a
-       concrete trace — its peak is the minimum cache size for which
-       the trace is legal).}}
+       {!trace_profile} (peak occupancy and live count of a concrete
+       trace — its peak is the minimum cache size for which the trace
+       is legal).}}
 
     Everything is deterministic: no hashing of boxed values, no
     [Hashtbl] iteration order, identical output at any [--jobs]. *)
@@ -127,15 +127,12 @@ val implicit_order_liveness : Fmm_cdag.Implicit.t -> Streamed.t
 val streamed_io_lower_bound : Streamed.t -> cache_size:int -> int
 (** The {!io_lower_bound} formula on a streamed summary. *)
 
-(** Per-position cache profile of a concrete trace. *)
+(** Cache profile of a concrete trace: its peaks over every event. *)
 type profile = {
-  occupancy_at : int array;
-      (** residency count after each event (length = trace length) *)
-  live_at_event : int array;
-      (** after each event: resident values whose next access before
-          leaving cache is a read (they are serving a future use) *)
-  peak_occupancy : int;
+  peak_occupancy : int;  (** most values resident after any event *)
   peak_live : int;
+      (** most values resident after any event whose next access
+          before leaving cache is a read (they serve a future use) *)
   min_cache : int;
       (** smallest cache size for which this trace is legal — equal to
           [peak_occupancy]: occupancy is cache-size-independent, so the

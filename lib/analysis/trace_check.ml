@@ -178,17 +178,32 @@ let flag_if_dead_load st emit step v =
         (Printf.sprintf "vertex %d loaded at step %d is never read" v l)
   end
 
-let step st emit t event =
-  let v =
-    match event with
-    | Tr.Load v | Tr.Store v | Tr.Evict v | Tr.Compute v -> v
-  in
+(* Every operand of the compute of [v] at step [t] must be resident. *)
+let rec read_operands st emit t v = function
+  | [] -> ()
+  | p :: rest ->
+    if Bs.mem st.cache p then mark_read st p
+    else if Bs.mem st.comp p || st.is_input p then
+      error st emit ~code:"operand-missing" (at t v)
+        (Printf.sprintf "compute of vertex %d: operand %d not resident%s" v p
+           (if st.last_evict.(p) >= 0 then
+              Printf.sprintf " (evicted at step %d)" st.last_evict.(p)
+            else if st.is_input p then " (input never loaded)"
+            else " (never loaded)"))
+    else
+      error st emit ~code:"use-before-compute" (at t v)
+        (Printf.sprintf "compute of vertex %d: operand %d has never been computed" v p);
+    read_operands st emit t v rest
+
+(* One event, given as its packed code. *)
+let step st emit t code =
+  let v = Tr.vertex code in
   if v < 0 || v >= st.n then
     error st emit ~code:"bad-vertex" (at t v)
       (Printf.sprintf "event references vertex %d outside [0, %d)" v st.n)
   else
-    match event with
-    | Tr.Load v ->
+    match Tr.kind code with
+    | `Load ->
       if not (Bs.mem st.slow v) then
         error st emit ~code:"load-absent" (at t v)
           (Printf.sprintf "load of vertex %d: value not in slow memory%s" v
@@ -201,7 +216,7 @@ let step st emit t event =
              "load of vertex %d: value already resident in fast memory" v)
       else insert st emit t v ~by_load:true;
       st.loads <- st.loads + 1
-    | Tr.Store v ->
+    | `Store ->
       if not (Bs.mem st.cache v) then
         error st emit ~code:"store-absent" (at t v)
           (Printf.sprintf
@@ -222,7 +237,7 @@ let step st emit t event =
         flip st p_slow v
       end;
       st.stores <- st.stores + 1
-    | Tr.Evict v ->
+    | `Evict ->
       if not (Bs.mem st.cache v) then
         error st emit ~code:"evict-absent" (at t v)
           (Printf.sprintf
@@ -235,7 +250,7 @@ let step st emit t event =
         st.occupancy <- st.occupancy - 1;
         st.last_evict.(v) <- t
       end
-    | Tr.Compute v ->
+    | `Compute ->
       if st.is_input v then
         error st emit ~code:"compute-input" (at t v)
           (Printf.sprintf "compute of vertex %d: inputs are not computable" v);
@@ -245,22 +260,7 @@ let step st emit t event =
              "compute of vertex %d: already computed and recomputation is \
               disabled"
              v);
-      List.iter
-        (fun p ->
-          if Bs.mem st.cache p then mark_read st p
-          else if Bs.mem st.comp p || st.is_input p then
-            error st emit ~code:"operand-missing" (at t v)
-              (Printf.sprintf "compute of vertex %d: operand %d not resident%s"
-                 v p
-                 (if st.last_evict.(p) >= 0 then
-                    Printf.sprintf " (evicted at step %d)" st.last_evict.(p)
-                  else if st.is_input p then " (input never loaded)"
-                  else " (never loaded)"))
-          else
-            error st emit ~code:"use-before-compute" (at t v)
-              (Printf.sprintf
-                 "compute of vertex %d: operand %d has never been computed" v p))
-        (D.in_neighbors st.graph v);
+      read_operands st emit t v (D.in_neighbors st.graph v);
       if not (Bs.mem st.cache v) then insert st emit t v ~by_load:false
       else begin
         (* redefined in place by the compute: the copy is no longer a
@@ -311,7 +311,9 @@ let check ~cache_size ?(allow_recompute = true) (work : W.t) (trace : Tr.t) =
   let c = Dg.Collector.create ~pass ~title:"trace check" in
   let emit sev ~code loc msg = Dg.Collector.add c sev ~code loc msg in
   let st = init_state ~cache_size ~allow_recompute work in
-  List.iteri (fun t event -> step st emit t event) trace;
+  for t = 0 to Tr.length trace - 1 do
+    step st emit t (Tr.code trace t)
+  done;
   finish st emit work;
   let recomputed = ref [] in
   for v = st.n - 1 downto 0 do
@@ -362,7 +364,7 @@ type cache = {
   c_cache_size : int;
   c_allow_recompute : bool;
   c_n : int;
-  events : Tr.event array;
+  trace : Tr.t;
   (* cumulative engine state after k events, k = 0..T *)
   c_loads : int array;
   c_stores : int array;
@@ -400,8 +402,7 @@ let zobrist_pair n =
 
 let check_cached ~cache_size ?(allow_recompute = true) (work : W.t)
     (trace : Tr.t) =
-  let events = Array.of_list trace in
-  let t_len = Array.length events in
+  let t_len = Tr.length trace in
   let n = W.n_vertices work in
   let zob = zobrist_pair n in
   let st = init_state ~zob ~cache_size ~allow_recompute work in
@@ -428,11 +429,10 @@ let check_cached ~cache_size ?(allow_recompute = true) (work : W.t)
     if k mod k_every = 0 && k > 0 then ckpts.(k / k_every) <- snapshot st
   in
   record 0;
-  Array.iteri
-    (fun t event ->
-      step st silent t event;
-      record (t + 1))
-    events;
+  for t = 0 to t_len - 1 do
+    step st silent t (Tr.code trace t);
+    record (t + 1)
+  done;
   let errors_before = st.errors and dead_before = st.dead_loads in
   finish st silent work;
   let end_errors = st.errors - errors_before in
@@ -459,7 +459,7 @@ let check_cached ~cache_size ?(allow_recompute = true) (work : W.t)
       c_cache_size = cache_size;
       c_allow_recompute = allow_recompute;
       c_n = n;
-      events;
+      trace;
       c_loads;
       c_stores;
       c_computes;
@@ -506,19 +506,17 @@ let restore base (work : W.t) k =
 let check_delta ~base (work : W.t) (trace : Tr.t) =
   if W.n_vertices work <> base.c_n then
     invalid_arg "Trace_check.check_delta: workload does not match the base";
-  let events' = Array.of_list trace in
-  let t_len = Array.length base.events and t_len' = Array.length events' in
+  let code = Tr.code and old = base.trace in
+  let t_len = Tr.length old and t_len' = Tr.length trace in
   let lim = min t_len t_len' in
   (* longest common prefix / suffix of the two event sequences *)
   let d = ref 0 in
-  while !d < lim && events'.(!d) = base.events.(!d) do
+  while !d < lim && (code trace !d : int) = code old !d do
     incr d
   done;
   let d = !d in
   let cs = ref 0 in
-  while
-    !cs < lim && events'.(t_len' - 1 - !cs) = base.events.(t_len - 1 - !cs)
-  do
+  while !cs < lim && (code trace (t_len' - 1 - !cs) : int) = code old (t_len - 1 - !cs) do
     incr cs
   done;
   let cs = !cs in
@@ -540,7 +538,7 @@ let check_delta ~base (work : W.t) (trace : Tr.t) =
        then converged := q
      end);
     if !converged < 0 then begin
-      step st silent !t events'.(!t);
+      step st silent !t (code trace !t);
       incr t
     end
   done;
@@ -579,4 +577,4 @@ let check_delta ~base (work : W.t) (trace : Tr.t) =
   end
 
 let cache_verdict base = base.total
-let cache_trace_length base = Array.length base.events
+let cache_trace_length base = Tr.length base.trace

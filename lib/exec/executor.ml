@@ -283,41 +283,45 @@ module Engine (B : BACKEND) = struct
       if not (B.fast_present st p) then
         err "Executor.run: %s of vertex %d needs %d in fast memory" what v p
     in
-    Trace.iter
-      (fun event ->
-        match event with
-        | Trace.Load v ->
-          if not (B.slow_present st v) then
-            err "Executor.run: load of vertex %d absent from slow memory" v;
-          if B.fast_present st v then
-            err "Executor.run: load of already-resident vertex %d" v;
-          if B.occupancy st >= cache_size then
-            err "Executor.run: fast memory full (%d words) at load of %d" cache_size v;
-          B.load st v;
-          incr loads;
-          bump_peak ()
-        | Trace.Store v ->
-          need_fast "store" v v;
-          B.store st v;
-          incr stores
-        | Trace.Evict v ->
-          need_fast "evict" v v;
-          B.evict st v
-        | Trace.Compute v ->
-          (match ops.(v) with
-          | Op_input_a _ | Op_input_b _ ->
-            err "Executor.run: compute of input vertex %d" v
-          | Op_linear srcs -> Array.iter (fun (s, _) -> need_fast "compute" v s) srcs
-          | Op_mult (x, y) ->
-            need_fast "compute" v x;
-            need_fast "compute" v y);
-          if (not (B.fast_present st v)) && B.occupancy st >= cache_size then
-            err "Executor.run: fast memory full (%d words) at compute of %d" cache_size v;
-          B.compute st v ops.(v);
-          incr computes;
-          if was_computed v then incr recomputes else mark_computed v;
-          bump_peak ())
-      trace;
+    for i = 0 to Trace.length trace - 1 do
+      let code = Trace.code trace i in
+      let v = Trace.vertex code in
+      match Trace.kind code with
+      | `Load ->
+        if not (B.slow_present st v) then
+          err "Executor.run: load of vertex %d absent from slow memory" v;
+        if B.fast_present st v then
+          err "Executor.run: load of already-resident vertex %d" v;
+        if B.occupancy st >= cache_size then
+          err "Executor.run: fast memory full (%d words) at load of %d" cache_size v;
+        B.load st v;
+        incr loads;
+        bump_peak ()
+      | `Store ->
+        need_fast "store" v v;
+        B.store st v;
+        incr stores
+      | `Evict ->
+        need_fast "evict" v v;
+        B.evict st v
+      | `Compute ->
+        (match ops.(v) with
+        | Op_input_a _ | Op_input_b _ ->
+          err "Executor.run: compute of input vertex %d" v
+        | Op_linear srcs ->
+          for k = 0 to Array.length srcs - 1 do
+            need_fast "compute" v (fst srcs.(k))
+          done
+        | Op_mult (x, y) ->
+          need_fast "compute" v x;
+          need_fast "compute" v y);
+        if (not (B.fast_present st v)) && B.occupancy st >= cache_size then
+          err "Executor.run: fast memory full (%d words) at compute of %d" cache_size v;
+        B.compute st v ops.(v);
+        incr computes;
+        if was_computed v then incr recomputes else mark_computed v;
+        bump_peak ()
+    done;
     let outputs =
       Array.map
         (fun v ->

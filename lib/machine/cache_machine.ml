@@ -65,9 +65,18 @@ let init cfg work =
 
 let is_input st v = st.input_mask v
 
-let apply st event =
-  (match event with
-  | Trace.Load v ->
+(* Every operand of [v] must be resident. *)
+let rec need_operands st v = function
+  | [] -> ()
+  | p :: rest ->
+    if not st.in_cache.(p) then
+      illegal_at st "compute of vertex %d: operand %d not in cache" v p;
+    need_operands st v rest
+
+let apply st code =
+  let v = Trace.vertex code in
+  (match Trace.kind code with
+  | `Load ->
     if not st.in_slow.(v) then illegal_at st "load of vertex %d: not in slow memory" v;
     if st.in_cache.(v) then illegal_at st "load of vertex %d: already in cache" v;
     if st.occupancy >= st.cfg.cache_size then
@@ -75,24 +84,20 @@ let apply st event =
     st.in_cache.(v) <- true;
     st.occupancy <- st.occupancy + 1;
     st.loads <- st.loads + 1
-  | Trace.Store v ->
+  | `Store ->
     if not st.in_cache.(v) then illegal_at st "store of vertex %d: not in cache" v;
     st.in_slow.(v) <- true;
     st.stores <- st.stores + 1
-  | Trace.Evict v ->
+  | `Evict ->
     if not st.in_cache.(v) then illegal_at st "evict of vertex %d: not in cache" v;
     st.in_cache.(v) <- false;
     st.occupancy <- st.occupancy - 1
-  | Trace.Compute v ->
+  | `Compute ->
     if is_input st v then
       illegal_at st "compute of vertex %d: inputs are not computable" v;
     if st.computed.(v) && not st.cfg.allow_recompute then
       illegal_at st "compute of vertex %d: recomputation disabled" v;
-    List.iter
-      (fun p ->
-        if not st.in_cache.(p) then
-          illegal_at st "compute of vertex %d: operand %d not in cache" v p)
-      (Fmm_graph.Digraph.in_neighbors (Workload.graph st.work) v);
+    need_operands st v (Fmm_graph.Digraph.in_neighbors (Workload.graph st.work) v);
     if not st.in_cache.(v) then begin
       if st.occupancy >= st.cfg.cache_size then
         illegal_at st "compute of vertex %d: cache full (M = %d)" v st.cfg.cache_size;
@@ -143,6 +148,8 @@ let check_final st =
     any model violation. *)
 let replay cfg work (trace : Trace.t) =
   let st = init cfg work in
-  List.iter (apply st) trace;
+  for i = 0 to Trace.length trace - 1 do
+    apply st (Trace.code trace i)
+  done;
   check_final st;
   counters st

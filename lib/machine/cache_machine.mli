@@ -18,8 +18,9 @@ type state
 val init : config -> Workload.t -> state
 (** Fresh machine: inputs in slow memory, cache empty. *)
 
-val apply : state -> Trace.event -> unit
-(** One step. Raises {!Illegal} on any model violation (missing
+val apply : state -> int -> unit
+(** One step, given the event's packed code ({!Trace.load}, ...).
+    Raises {!Illegal} on any model violation (missing
     operand, cache overflow, load of an absent value, ...); the
     message names the offending 0-based trace step and vertex id. *)
 

@@ -32,6 +32,8 @@ type result = {
   counters : Trace.counters;
 }
 
+exception Cache_too_small of string
+
 (* --- recency: intrusive doubly-linked lists over resident values ---
 
    Cyclic sentinels: [s.next] is the most recent node, [s.prev] the
@@ -121,22 +123,12 @@ let lru_victim r ~pinned =
   let v = walk r.dead r.dead.prev in
   if v >= 0 then v else walk r.live r.live.prev
 
-let iter_residents r f =
-  let rec go s nd =
-    if nd != s then begin
-      f nd.v;
-      go s nd.next
-    end
-  in
-  go r.live r.live.next;
-  go r.dead r.dead.next
-
 (* --- the cache core: residency, counters, event emission --- *)
 
 type core = {
   work : W.t;
   cache_size : int;
-  emit : Trace.event -> unit;
+  emit : int -> unit; (* a packed Trace code *)
   in_cache : Bits.t;
   in_slow : Bits.t;
   pinned : Bits.t;
@@ -186,6 +178,12 @@ let make_core work ~cache_size ~emit =
   Array.iter (Bits.add core.in_slow) (W.inputs work);
   core
 
+let too_small core =
+  raise
+    (Cache_too_small
+       (Printf.sprintf "Schedulers: cache of %d words too small (everything pinned)"
+          core.cache_size))
+
 let counters core =
   {
     Trace.loads = core.loads;
@@ -209,12 +207,12 @@ let push_operands core v =
   base
 
 let store core v =
-  core.emit (Trace.Store v);
+  core.emit (Trace.store v);
   Bits.add core.in_slow v;
   core.stores <- core.stores + 1
 
 let evict core v =
-  core.emit (Trace.Evict v);
+  core.emit (Trace.evict v);
   Bits.remove core.in_cache v;
   core.occupancy <- core.occupancy - 1;
   forget core.recency v
@@ -229,7 +227,7 @@ let make_resident core v =
    must be stored first. *)
 let evict_one core ~writeback =
   let v = lru_victim core.recency ~pinned:core.pinned in
-  if v < 0 then failwith "Schedulers: cache too small (everything pinned)";
+  if v < 0 then too_small core;
   if writeback v && not (Bits.mem core.in_slow v) then begin
     store core v;
     if not (W.is_output core.work v) then core.spill_stores <- core.spill_stores + 1
@@ -242,7 +240,7 @@ let ensure_room core ~writeback =
   done
 
 let fetch core v =
-  core.emit (Trace.Load v);
+  core.emit (Trace.load v);
   if Bits.mem core.ever_resident v then core.reloads <- core.reloads + 1;
   core.loads <- core.loads + 1;
   make_resident core v
@@ -251,7 +249,7 @@ let fetch core v =
    store, which needs a compute), so [ever_resident] marks the values
    computed before. *)
 let compute core v =
-  core.emit (Trace.Compute v);
+  core.emit (Trace.compute v);
   if Bits.mem core.ever_resident v then core.recomputes <- core.recomputes + 1;
   core.computes <- core.computes + 1;
   make_resident core v
@@ -322,9 +320,9 @@ let rec materialize core pol v =
 let rec seen_in_frame ops j i p = j < i && (ops.(j) = p || seen_in_frame ops (j + 1) i p)
 
 let collect run =
-  let events = ref [] in
-  let counters = run (fun e -> events := e :: !events) in
-  { trace = List.rev !events; counters }
+  let b = Trace.builder () in
+  let counters = run (Trace.add b) in
+  { trace = Trace.freeze b; counters }
 
 (* --- spill / hybrid execution --- *)
 
@@ -462,32 +460,55 @@ let run_belady work ~cache_size order =
   collect (fun emit ->
       let core = make_core work ~cache_size ~emit in
       let is_output = W.is_output work in
-      (* Reference positions per vertex: vertex v is referenced at step
-         i when it is an operand of order[i] (and at its own compute
-         step), ascending. *)
-      let refs = Array.make (W.n_vertices work) [] in
+      (* Reference positions per vertex, flat: vertex v is referenced
+         at step i when it is an operand of order[i] (and at its own
+         compute step); its steps are [refs.(first.(v) ..
+         first.(v+1) - 1)], ascending. [cursor.(v)] skips the ones
+         already in the past. *)
+      let n = W.n_vertices work in
+      let first = Array.make (n + 1) 0 in
+      let tally v = first.(v + 1) <- first.(v + 1) + 1 in
+      List.iter
+        (fun v ->
+          tally v;
+          W.iter_preds work v ~f:tally)
+        order;
+      for v = 0 to n - 1 do
+        first.(v + 1) <- first.(v + 1) + first.(v)
+      done;
+      let refs = Array.make first.(n) 0 in
+      let cursor = Array.sub first 0 n in
+      let step = ref 0 in
+      let record v =
+        refs.(cursor.(v)) <- !step;
+        cursor.(v) <- cursor.(v) + 1
+      in
       List.iteri
         (fun i v ->
-          refs.(v) <- i :: refs.(v);
-          W.iter_preds work v ~f:(fun p -> refs.(p) <- i :: refs.(p)))
+          step := i;
+          record v;
+          W.iter_preds work v ~f:record)
         order;
-      let future = Array.map List.rev refs in
-      (* drop references before [now]: the head is then the first use
-         at or after step [now] *)
-      let rec refs_from v now =
-        match future.(v) with
-        | t :: rest when t < now ->
-          future.(v) <- rest;
-          refs_from v now
-        | l -> l
+      Array.blit first 0 cursor 0 n;
+      (* index of v's first reference at or after step [now] *)
+      let refs_from v now =
+        let k = ref cursor.(v) and stop = first.(v + 1) in
+        while !k < stop && refs.(!k) < now do
+          incr k
+        done;
+        cursor.(v) <- !k;
+        !k
       in
       let next_use_after v now =
-        let rec first = function [] -> max_int | t :: rest -> if t <= now then first rest else t in
-        first (refs_from v now)
+        let k = ref (refs_from v now) and stop = first.(v + 1) in
+        while !k < stop && refs.(!k) <= now do
+          incr k
+        done;
+        if !k < stop then refs.(!k) else max_int
       in
       (* a value with a use at or after [now] still has a consumer to
          serve, so evicting it must write it back *)
-      let writeback now v = is_output v || refs_from v now <> [] in
+      let writeback now v = is_output v || refs_from v now < first.(v + 1) in
       (* Belady eviction: scan the residents (at most cache_size
          entries, NOT the whole vertex set, which matters at n = 64
          where the CDAG has ~10^6 vertices) for the farthest next use.
@@ -496,28 +517,34 @@ let run_belady work ~cache_size order =
          evicting it is free, while a dirty co-leader would cost a Store
          the clean choice avoids. Within the same cleanliness class the
          smallest vertex id wins; every clause is scan-order-
-         independent, so the policy stays deterministic. *)
+         independent, so the policy stays deterministic. The scan walks
+         the live list, then the dead one. *)
+      let r = core.recency in
       let evict_belady now =
         let victim = ref (-1) and victim_next = ref (-1) in
         let victim_dirty = ref false in
-        iter_residents core.recency (fun v ->
-            if not (Bits.mem core.pinned v) then begin
-              let nu = next_use_after v now in
-              (* a nearer next use loses whatever its cleanliness *)
-              if nu >= !victim_next then begin
-                let dirty = (not (Bits.mem core.in_slow v)) && writeback now v in
-                if
-                  nu > !victim_next
-                  || (!victim_dirty && not dirty)
-                  || (!victim_dirty = dirty && v < !victim)
-                then begin
-                  victim := v;
-                  victim_next := nu;
-                  victim_dirty := dirty
-                end
+        let nd = ref (if r.live.next == r.live then r.dead.next else r.live.next) in
+        while !nd != r.dead do
+          let v = !nd.v in
+          if not (Bits.mem core.pinned v) then begin
+            let nu = next_use_after v now in
+            (* a nearer next use loses whatever its cleanliness *)
+            if nu >= !victim_next then begin
+              let dirty = (not (Bits.mem core.in_slow v)) && writeback now v in
+              if
+                nu > !victim_next
+                || (!victim_dirty && not dirty)
+                || (!victim_dirty = dirty && v < !victim)
+              then begin
+                victim := v;
+                victim_next := nu;
+                victim_dirty := dirty
               end
-            end);
-        if !victim < 0 then failwith "Schedulers: cache too small (everything pinned)";
+            end
+          end;
+          nd := if !nd.next == r.live then r.dead.next else !nd.next
+        done;
+        if !victim < 0 then too_small core;
         let v = !victim in
         if writeback now v && not (Bits.mem core.in_slow v) then store core v;
         evict core v

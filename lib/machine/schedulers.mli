@@ -9,6 +9,13 @@ type result = {
   counters : Trace.counters;
 }
 
+exception Cache_too_small of string
+(** Raised by every scheduler when a step cannot make room: every
+    resident value is pinned as an operand of a pending compute. How
+    much cache is enough depends on the policy and the order, not only
+    on the CDAG (at Strassen n = 16 rematerialization still fails at
+    M = 8 where LRU runs at M = 5), so callers learn it by running. *)
+
 val run_lru : Workload.t -> cache_size:int -> int list -> result
 (** LRU replacement with write-back spilling; no vertex is ever
     computed twice. Dead residents (values past their last use —
@@ -19,13 +26,14 @@ val run_lru : Workload.t -> cache_size:int -> int list -> result
     no reload and no store of a non-output, so io = compulsory
     inputs + outputs. That invariant is asserted at the end of every
     run (raises [Failure] if violated). [cache_size] must exceed the
-    maximum in-degree (raises [Failure] otherwise). *)
+    maximum in-degree (raises {!Cache_too_small} otherwise). *)
 
 val stream_lru :
-  Workload.t -> cache_size:int -> on_event:(Trace.event -> unit) -> Trace.counters
+  Workload.t -> cache_size:int -> on_event:(int -> unit) -> Trace.counters
 (** {!run_lru} on the ascending-id order of the non-input vertices (a
     topological order of every CDAG, explicit or implicit), sending
-    each event to [on_event] instead of building a trace, and building
+    each event's packed code ({!Trace.kind}, {!Trace.vertex}) to
+    [on_event] instead of building a trace, and building
     no order list or position table: on an implicit view the run keeps
     V/8 bytes per residency set plus O(cache) words. *)
 
@@ -43,9 +51,9 @@ val run_rematerialize :
     available (ultimately re-loaded inputs). Trades arithmetic for I/O
     as aggressively as possible — the strategy whose futility for fast
     MM is the paper's headline. Needs a cache a few times the DAG
-    depth (operand pinning along the recursion path); raises [Failure]
-    when the cache is too small or when the run would exceed
-    [max_flops]. The cap is charged before each compute, deep inside
+    depth (operand pinning along the recursion path); raises
+    {!Cache_too_small} when the cache is too small and [Failure] when
+    the run would exceed [max_flops]. The cap is charged before each compute, deep inside
     the recursive descent, so a failed run never performs more than
     [max_flops] computations. *)
 
@@ -66,5 +74,5 @@ val run_hybrid :
     exactly ({!run_lru} is this scheduler without recomputation, plus
     the spill-free check and no flop cap); this is the schedule space
     {!Fmm_opt.Optimizer} searches.
-    Raises [Failure] like the fixed policies; same [max_flops]
+    Raises like the fixed policies; same [max_flops]
     discipline as {!run_rematerialize}. *)

@@ -31,10 +31,10 @@ type analysis = {
     first-time computations of V_out(SUB_H^{r x r}) and count the I/O
     in each. The final partial segment is included (callers typically
     exclude it from minima, as the theorem does). [iter] drives the
-    fold — a trace list for the explicit path, a live streaming
-    execution for the implicit one — and [is_sub_output] is a
-    predicate, so membership can be an array lookup or O(log n)
-    arithmetic. First-time-ness is tracked in a bitset (V/8 bytes). *)
+    fold with packed event codes — a materialized trace for the
+    explicit path, a live streaming execution for the implicit one —
+    and [is_sub_output] is a predicate, so membership can be an array
+    lookup or O(log n) arithmetic. First-time-ness is tracked in a bitset (V/8 bytes). *)
 let analyze_events ~n_vertices ~is_sub_output ~cache_size ~r ?quota iter =
   let quota =
     match quota with Some q -> q | None -> max 1 (4 * cache_size)
@@ -58,12 +58,13 @@ let analyze_events ~n_vertices ~is_sub_output ~cache_size ~r ?quota iter =
     seg_loads := 0;
     seg_stores := 0
   in
-  iter (fun event ->
-      match event with
-      | Trace.Load _ -> incr seg_loads
-      | Trace.Store _ -> incr seg_stores
-      | Trace.Evict _ -> ()
-      | Trace.Compute v ->
+  iter (fun code ->
+      match Trace.kind code with
+      | `Load -> incr seg_loads
+      | `Store -> incr seg_stores
+      | `Evict -> ()
+      | `Compute ->
+        let v = Trace.vertex code in
         if is_sub_output v && not (Fmm_util.Bitset.mem computed v) then begin
           Fmm_util.Bitset.add computed v;
           incr seg_outputs;
@@ -86,7 +87,7 @@ let analyze cdag ~cache_size ~r ?quota (trace : Trace.t) =
   analyze_events ~n_vertices:(Cd.n_vertices cdag)
     ~is_sub_output:(fun v -> is_sub_output.(v))
     ~cache_size ~r ?quota
-    (fun f -> List.iter f trace)
+    (fun f -> Trace.iter_codes f trace)
 
 (** Segment analysis of the canonical LRU execution of an implicit
     CDAG: the streaming executor feeds the fold event-by-event, so no

@@ -31,10 +31,11 @@ val analyze_events :
   cache_size:int ->
   r:int ->
   ?quota:int ->
-  ((Trace.event -> unit) -> unit) ->
+  ((int -> unit) -> unit) ->
   analysis
-(** The shared fold under [analyze]: segment an event stream driven by
-    the given iterator, with V_out membership as a predicate. *)
+(** The shared fold under [analyze]: segment a stream of packed event
+    codes driven by the given iterator, with V_out membership as a
+    predicate. *)
 
 val analyze_implicit :
   Fmm_cdag.Implicit.t ->

@@ -9,16 +9,16 @@
 val run_lru :
   Fmm_cdag.Implicit.t ->
   cache_size:int ->
-  ?on_event:(Trace.event -> unit) ->
+  ?on_event:(int -> unit) ->
   unit ->
   Trace.counters
 (** Execute all non-input vertices in ascending id order under
     [Schedulers.run_lru]'s policy — so at [cache_size >= MAXLIVE] of
     the canonical order the run is spill-free (asserted, raising
     [Failure] if violated). [cache_size] must exceed the maximum
-    in-degree. [on_event] sees the exact event sequence
-    [Schedulers.run_lru] produces for the same order on the explicit
-    graph. *)
+    in-degree. [on_event] sees the packed codes ({!Trace.kind},
+    {!Trace.vertex}) of the exact event sequence [Schedulers.run_lru]
+    produces for the same order on the explicit graph. *)
 
 val run_lru_collect : Fmm_cdag.Implicit.t -> cache_size:int -> Schedulers.result
 (** Materialize the full trace (small n only — the differential

@@ -1,8 +1,15 @@
 (* Execution traces of the sequential machine model (Section II-B of
    the paper): a program is a sequence of loads, stores, evictions and
    computations over CDAG vertices. Traces are produced by the
-   schedulers and consumed by the legality checker (Cache_machine) and
-   the segment analyzer (Segments). *)
+   schedulers and consumed by the legality checkers, the numeric
+   executor and the segment analyzer.
+
+   The layout is private to this module: one int per event, [vertex
+   lsl 2 lor tag] with the kind's tag in the low two bits, in an array
+   of exactly the trace's length (no slack, so structural equality
+   compares events). A recompute-heavy trace runs to millions of
+   events, so it costs one word per event and every hot reader decodes
+   codes in place instead of boxing events. *)
 
 type event =
   | Load of int (* slow -> fast; one I/O read *)
@@ -10,7 +17,55 @@ type event =
   | Evict of int (* drop from fast memory; free *)
   | Compute of int (* all predecessors must be in fast memory *)
 
-type t = event list
+type t = int array
+
+type kind = [ `Load | `Store | `Evict | `Compute ]
+
+let t_load = 0
+let t_store = 1
+let t_evict = 2
+let t_compute = 3
+
+(* Ids whose shift by two loses no bit; [asr] restores negative ones. *)
+let min_vertex = min_int asr 2
+let max_vertex = max_int asr 2
+
+let pack tag v =
+  if v < min_vertex || v > max_vertex then
+    invalid_arg (Printf.sprintf "Trace: vertex %d cannot be packed" v);
+  (v lsl 2) lor tag
+
+let load v = pack t_load v
+let store v = pack t_store v
+let evict v = pack t_evict v
+let compute v = pack t_compute v
+let vertex code = code asr 2
+
+let kind code : kind =
+  match code land 3 with 0 -> `Load | 1 -> `Store | 2 -> `Evict | _ -> `Compute
+
+let encode = function
+  | Load v -> load v
+  | Store v -> store v
+  | Evict v -> evict v
+  | Compute v -> compute v
+
+let decode code =
+  let v = vertex code in
+  match kind code with
+  | `Load -> Load v
+  | `Store -> Store v
+  | `Evict -> Evict v
+  | `Compute -> Compute v
+
+let length (t : t) = Array.length t
+let code (t : t) i = t.(i)
+let iter_codes f (t : t) = Array.iter f t
+let get t i = decode t.(i)
+let iter f t = Array.iter (fun c -> f (decode c)) t
+let fold f init t = Array.fold_left (fun acc c -> f acc (decode c)) init t
+let to_list t = List.map decode (Array.to_list t)
+let of_list events = Array.of_list (List.map encode events)
 
 let event_to_string = function
   | Load v -> Printf.sprintf "load %d" v
@@ -18,9 +73,20 @@ let event_to_string = function
   | Evict v -> Printf.sprintf "evict %d" v
   | Compute v -> Printf.sprintf "compute %d" v
 
-let iter f (t : t) = List.iter f t
-let fold f init (t : t) = List.fold_left f init t
-let length (t : t) = List.length t
+type builder = { mutable codes : int array; mutable len : int }
+
+let builder () = { codes = Array.make 1024 0; len = 0 }
+
+let add b code =
+  if b.len = Array.length b.codes then begin
+    let bigger = Array.make (2 * b.len) 0 in
+    Array.blit b.codes 0 bigger 0 b.len;
+    b.codes <- bigger
+  end;
+  b.codes.(b.len) <- code;
+  b.len <- b.len + 1
+
+let freeze b = Array.sub b.codes 0 b.len
 
 type counters = {
   loads : int;
@@ -34,25 +100,48 @@ let io counters = counters.loads + counters.stores
 (* Recount a trace from its events alone. A second Compute of the same
    vertex is a recomputation, which is the only counter that needs
    state; consumers (the numeric executor, the tests) use this to check
-   that a scheduler's counters describe the trace it actually emitted. *)
+   that a scheduler's counters describe the trace it actually emitted.
+   The computed set is a bitset over the computed ids' range, unless
+   that range is sparse enough that its bitset would outweigh the
+   trace itself. *)
 let count (t : t) =
-  let computed = Hashtbl.create 256 in
-  fold
-    (fun c e ->
-      match e with
-      | Load _ -> { c with loads = c.loads + 1 }
-      | Store _ -> { c with stores = c.stores + 1 }
-      | Evict _ -> c
-      | Compute v ->
-        let again = Hashtbl.mem computed v in
-        if not again then Hashtbl.add computed v ();
-        {
-          c with
-          computes = c.computes + 1;
-          recomputes = (c.recomputes + if again then 1 else 0);
-        })
-    { loads = 0; stores = 0; computes = 0; recomputes = 0 }
-    t
+  let loads = ref 0 and stores = ref 0 and computes = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to Array.length t - 1 do
+    let c = t.(i) in
+    let tag = c land 3 in
+    if tag = t_load then incr loads
+    else if tag = t_store then incr stores
+    else if tag = t_compute then begin
+      incr computes;
+      let v = vertex c in
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    end
+  done;
+  let lo = !lo and span = if !computes = 0 then 0 else !hi - !lo + 1 in
+  let first_time =
+    if span / 64 <= Array.length t then begin
+      let seen = Fmm_util.Bitset.create span in
+      fun v ->
+        let fresh = not (Fmm_util.Bitset.mem seen (v - lo)) in
+        if fresh then Fmm_util.Bitset.add seen (v - lo);
+        fresh
+    end
+    else begin
+      let seen = Hashtbl.create 256 in
+      fun v ->
+        let fresh = not (Hashtbl.mem seen v) in
+        if fresh then Hashtbl.add seen v ();
+        fresh
+    end
+  in
+  let recomputes = ref 0 in
+  for i = 0 to Array.length t - 1 do
+    let c = t.(i) in
+    if c land 3 = t_compute && not (first_time (vertex c)) then incr recomputes
+  done;
+  { loads = !loads; stores = !stores; computes = !computes; recomputes = !recomputes }
 
 let pp_counters fmt c =
   Format.fprintf fmt "loads=%d stores=%d io=%d computes=%d recomputes=%d"

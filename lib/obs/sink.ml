@@ -7,8 +7,9 @@
      BENCH_*.json schema (schema_version 1) and its loader.
    - [diff]: the regression gate — match rows of two runs on
      (experiment, section, params), compare their "ratio" metrics
-     within a tolerance, and optionally the per-experiment wall
-     clocks. The caller turns [n_regressions > 0] into an exit code. *)
+     within a tolerance and every other Int metric for equality, and
+     optionally the per-experiment wall clocks. The caller turns
+     [n_regressions > 0] into an exit code. *)
 
 module T = Fmm_util.Table
 
@@ -195,11 +196,11 @@ let outcomes_of_json j =
 
 type diff = {
   lines : string list;  (** human-readable findings, emission order *)
-  n_compared : int;  (** rows with a ratio present in both runs *)
+  n_compared : int;  (** gated rows present in both runs *)
   n_regressions : int;
   n_improvements : int;
   n_unmatched : int;
-      (** current rows with a ratio the baseline lacks, plus current
+      (** current gated rows the baseline lacks, plus current
           experiments the baseline lacks entirely *)
 }
 
@@ -210,16 +211,19 @@ let row_key (o : Experiment.outcome) (r : Metrics.row) =
     :: List.map part
          (List.sort (fun (a, _) (b, _) -> compare a b) r.Metrics.params))
 
+(* The Int metrics other than "ratio": deterministic counts, gated for
+   equality. *)
+let exact_metrics (r : Metrics.row) =
+  List.filter_map
+    (fun (k, v) ->
+      match v with Metrics.Int i when k <> "ratio" -> Some (k, i) | _ -> None)
+    r.Metrics.metrics
+
 let diff ~tolerance ?time_tolerance ~baseline ~current () =
   let tbl = Hashtbl.create 256 in
   List.iter
     (fun (o : Experiment.outcome) ->
-      List.iter
-        (fun r ->
-          match Metrics.ratio r with
-          | Some x -> Hashtbl.replace tbl (row_key o r) x
-          | None -> ())
-        o.Experiment.rows)
+      List.iter (fun r -> Hashtbl.replace tbl (row_key o r) r) o.Experiment.rows)
     baseline;
   let base_wall =
     List.map (fun (o : Experiment.outcome) -> (o.Experiment.id, o.Experiment.wall_s)) baseline
@@ -227,29 +231,50 @@ let diff ~tolerance ?time_tolerance ~baseline ~current () =
   let lines = ref [] in
   let emit fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let compared = ref 0 and regs = ref 0 and imps = ref 0 and unmatched = ref 0 in
+  let check_ratio key cur base =
+    match (cur, base) with
+    | Some cur, Some base ->
+      if cur > base *. (1. +. tolerance) then begin
+        incr regs;
+        emit "  REGRESSION %s: ratio %.3f -> %.3f (+%.1f%% > %.0f%% tolerance)" key base
+          cur
+          ((cur /. base -. 1.) *. 100.)
+          (tolerance *. 100.)
+      end
+      else if cur < base *. (1. -. tolerance) then begin
+        incr imps;
+        emit "  improved %s: ratio %.3f -> %.3f (%.1f%%)" key base cur
+          ((cur /. base -. 1.) *. 100.)
+      end
+    | Some cur, None ->
+      incr regs;
+      emit "  REGRESSION %s: ratio - -> %.3f (no baseline ratio)" key cur
+    | None, _ -> ()
+  in
+  let check_exact key base (name, cur) =
+    match Metrics.find_metric base name with
+    | Some (Metrics.Int b) when b = cur -> ()
+    | found ->
+      incr regs;
+      emit "  REGRESSION %s: %s %s -> %d (exact)" key name
+        (match found with Some v -> Metrics.value_to_cell v | None -> "-")
+        cur
+  in
   let check_row (o : Experiment.outcome) r =
-    match Metrics.ratio r with
-    | None -> ()
-    | Some cur -> (
+    let ratio = Metrics.ratio r and exact = exact_metrics r in
+    if ratio <> None || exact <> [] then begin
       let key = row_key o r in
       match Hashtbl.find_opt tbl key with
-      | None ->
+      | None -> (
         incr unmatched;
-        emit "  UNMATCHED %s: ratio %.3f (no baseline row)" key cur
+        match ratio with
+        | Some cur -> emit "  UNMATCHED %s: ratio %.3f (no baseline row)" key cur
+        | None -> emit "  UNMATCHED %s (no baseline row)" key)
       | Some base ->
         incr compared;
-        if cur > base *. (1. +. tolerance) then begin
-          incr regs;
-          emit "  REGRESSION %s: ratio %.3f -> %.3f (+%.1f%% > %.0f%% tolerance)"
-            key base cur
-            ((cur /. base -. 1.) *. 100.)
-            (tolerance *. 100.)
-        end
-        else if cur < base *. (1. -. tolerance) then begin
-          incr imps;
-          emit "  improved %s: ratio %.3f -> %.3f (%.1f%%)" key base cur
-            ((cur /. base -. 1.) *. 100.)
-        end)
+        check_ratio key ratio (Metrics.ratio base);
+        List.iter (check_exact key base) exact
+    end
   in
   List.iter
     (fun (o : Experiment.outcome) ->

@@ -46,14 +46,20 @@ val diff :
   current:Experiment.outcome list ->
   unit ->
   diff
-(** Rows are matched on (experiment id, section, sorted params) and
-    their ["ratio"] metrics compared: current above baseline by more
-    than [tolerance] (relative) is a regression, below it an
-    improvement. Per-experiment wall clocks are gated only when
+(** Rows are matched on (experiment id, section, sorted params), whether
+    or not they carry a ratio. A row's ["ratio"] metric is gated within
+    a tolerance: current above baseline by more than [tolerance]
+    (relative) is a regression, below it an improvement. Every other
+    [Int] metric is an exact count and must equal the baseline row's;
+    a difference, or a baseline row without that metric, is a
+    regression printed as [REGRESSION <key>: <metric> <base> -> <cur>
+    (exact)]. [Float], [Str] and [Bool] metrics other than the ratio
+    are not gated. Per-experiment wall clocks are gated only when
     [time_tolerance] is given — wall clocks are load-sensitive, ratios
-    are not. A current row with no baseline row, and a current
-    experiment whose id the baseline does not contain at all, are
-    counted in [n_unmatched] (an [UNMATCHED] line each). *)
+    and counts are not. A current row with a ratio or an [Int] metric
+    but no baseline row, and a current experiment whose id the
+    baseline does not contain at all, are counted in [n_unmatched] (an
+    [UNMATCHED] line each). *)
 
 val passes : diff -> bool
 (** The gate fails closed: no regression and nothing unmatched. A row

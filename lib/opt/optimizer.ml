@@ -85,10 +85,13 @@ let run_candidate work ~cache_size ~max_flops cand =
       ~recompute:(fun v -> flags.(v))
       order
 
+(* A candidate the schedulers refuse (a cache too small for its policy,
+   a blown flop cap) is infeasible, not an error; the refusal is
+   returned so a search whose every seed was refused can say why. *)
 let evaluate work ~cache_size ~max_flops cand =
   match run_candidate work ~cache_size ~max_flops cand with
-  | result -> Some { candidate = cand; result; io = Tr.io result.Sch.counters }
-  | exception Failure _ -> None
+  | result -> Ok { candidate = cand; result; io = Tr.io result.Sch.counters }
+  | exception ((Failure _ | Sch.Cache_too_small _) as refusal) -> Error refusal
 
 (* The legality oracle: the checked trace must carry the exact I/O the
    scheduler claimed, with zero violations AND zero lint findings (a
@@ -170,12 +173,15 @@ let flip_move rng work ev =
   let flags = flags_of_policy work ev.candidate.policy in
   let n = W.n_vertices work in
   let stores = Array.make n false and computes = Array.make n 0 in
-  List.iter
-    (function
-      | Tr.Store v -> if not (is_output v) then stores.(v) <- true
-      | Tr.Compute v -> computes.(v) <- computes.(v) + 1
-      | Tr.Load _ | Tr.Evict _ -> ())
-    ev.result.Sch.trace;
+  let trace = ev.result.Sch.trace in
+  for i = 0 to Tr.length trace - 1 do
+    let c = Tr.code trace i in
+    let v = Tr.vertex c in
+    match Tr.kind c with
+    | `Store -> if not (is_output v) then stores.(v) <- true
+    | `Compute -> computes.(v) <- computes.(v) + 1
+    | `Load | `Evict -> ()
+  done;
   let pool = ref [] in
   for v = n - 1 downto 0 do
     if (stores.(v) && not flags.(v)) || (computes.(v) > 1 && flags.(v)) then
@@ -230,20 +236,22 @@ let segment_window cdag ~cache_size work trace order_len =
       let computed = Array.make (W.n_vertices work) false in
       let boundaries = ref [] in
       let pos = ref 0 and sub_seen = ref 0 in
-      List.iter
-        (function
-          | Tr.Compute v when not computed.(v) ->
-            computed.(v) <- true;
-            incr pos;
-            if is_sub.(v) then begin
-              incr sub_seen;
-              if !sub_seen = a.Seg.quota then begin
-                boundaries := !pos :: !boundaries;
-                sub_seen := 0
-              end
+      for i = 0 to Tr.length trace - 1 do
+        let c = Tr.code trace i in
+        let v = Tr.vertex c in
+        match Tr.kind c with
+        | `Compute when not computed.(v) ->
+          computed.(v) <- true;
+          incr pos;
+          if is_sub.(v) then begin
+            incr sub_seen;
+            if !sub_seen = a.Seg.quota then begin
+              boundaries := !pos :: !boundaries;
+              sub_seen := 0
             end
-          | _ -> ())
-        trace;
+          end
+        | _ -> ()
+      done;
       let bounds = Array.of_list (List.rev !boundaries) in
       if worst.Seg.index >= Array.length bounds then None
       else begin
@@ -263,17 +271,17 @@ let generic_window work trace order_len ~cache_size =
     let io_at = Array.make order_len 0 in
     let computed = Array.make (W.n_vertices work) false in
     let pos = ref 0 in
-    List.iter
-      (fun e ->
-        match e with
-        | Tr.Compute v when not computed.(v) ->
-          computed.(v) <- true;
-          incr pos
-        | Tr.Load _ | Tr.Store _ ->
-          let p = min (max 0 (!pos - 1)) (order_len - 1) in
-          io_at.(p) <- io_at.(p) + 1
-        | _ -> ())
-      trace;
+    for i = 0 to Tr.length trace - 1 do
+      let c = Tr.code trace i in
+      match Tr.kind c with
+      | `Compute when not computed.(Tr.vertex c) ->
+        computed.(Tr.vertex c) <- true;
+        incr pos
+      | `Load | `Store ->
+        let p = min (max 0 (!pos - 1)) (order_len - 1) in
+        io_at.(p) <- io_at.(p) + 1
+      | _ -> ()
+    done;
     let sum = ref 0 in
     for i = 0 to w - 1 do
       sum := !sum + io_at.(i)
@@ -373,9 +381,13 @@ let hoist_move rng work ev =
   let order = ev.candidate.order in
   let pos = positions work order in
   let loads = Array.make n 0 in
-  List.iter
-    (function Tr.Load v -> loads.(v) <- loads.(v) + 1 | _ -> ())
-    ev.result.Sch.trace;
+  let trace = ev.result.Sch.trace in
+  for i = 0 to Tr.length trace - 1 do
+    let c = Tr.code trace i in
+    match Tr.kind c with
+    | `Load -> loads.(Tr.vertex c) <- loads.(Tr.vertex c) + 1
+    | _ -> ()
+  done;
   let pool = ref [] in
   for v = n - 1 downto 0 do
     if loads.(v) >= 2 || (loads.(v) >= 1 && not (is_input v)) then
@@ -458,11 +470,13 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
     orders;
   let jobs = max 1 jobs in
   let evaluated = ref 0 and rejected = ref 0 and accepted = ref 0 in
+  (* the feasible evaluations and the refusals of a batch *)
   let eval_batch cands =
     evaluated := !evaluated + List.length cands;
     let results = Fmm_par.Pool.map ~jobs (evaluate work ~cache_size ~max_flops) cands in
-    rejected := !rejected + List.length (List.filter Option.is_none results);
-    List.filter_map Fun.id results
+    let refusals = List.filter_map (function Error e -> Some e | Ok _ -> None) results in
+    rejected := !rejected + List.length refusals;
+    (List.filter_map Result.to_option results, refusals)
   in
   let seed_candidates =
     List.concat_map
@@ -474,13 +488,16 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
           [ Lru; Belady; Remat ])
       orders
   in
-  let seed_evals = eval_batch seed_candidates in
-  if seed_evals = [] then
-    failwith
-      (Printf.sprintf
-         "Optimizer.search: no seed candidate executed on %s at M=%d (cache \
-          too small?)"
-         (W.name work) cache_size);
+  let seed_evals, seed_refusals = eval_batch seed_candidates in
+  if seed_evals = [] then begin
+    let msg =
+      Printf.sprintf "Optimizer.search: no seed candidate executed on %s at M=%d"
+        (W.name work) cache_size
+    in
+    if List.for_all (function Sch.Cache_too_small _ -> true | _ -> false) seed_refusals then
+      raise (Sch.Cache_too_small (msg ^ " (cache too small)"))
+    else failwith msg
+  end;
   let baselines =
     let first_name = fst (List.hd orders) in
     List.map
@@ -551,7 +568,7 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
     match oracle_mode with
     | Incremental -> oracle_incremental ev
     | Full_replay ->
-      let t = List.length ev.result.Sch.trace in
+      let t = Tr.length ev.result.Sch.trace in
       oracle_replayed := !oracle_replayed + t;
       oracle_total := !oracle_total + t;
       oracle_full work ~cache_size ev
@@ -581,7 +598,7 @@ let search ?(jobs = 1) ?(beam = 4) ?(iters = 4) ?(seed = 1)
                (List.init moves_per_candidate Fun.id))
            !current)
     in
-    let fresh = eval_batch neighbors in
+    let fresh, _ = eval_batch neighbors in
     current := take_beam beam (!current @ fresh);
     admit !current;
     history := best_io () :: !history

@@ -106,8 +106,10 @@ val search :
     the best found never regresses). [cdag], when given, lets the
     reorder move target the worst {!Fmm_machine.Segments} segment of
     the current best trace instead of a generic hot window. Raises
-    [Invalid_argument] on an invalid seed order and [Failure] when no
-    seed candidate executes at all. Defaults: [jobs 1], [beam 4],
+    [Invalid_argument] on an invalid seed order and, when no seed
+    candidate executes at all,
+    {!Fmm_machine.Schedulers.Cache_too_small} if every seed ran out of
+    cache and [Failure] otherwise. Defaults: [jobs 1], [beam 4],
     [iters 4], [seed 1], [max_flops] as the schedulers,
     [oracle_mode Incremental]. The search path is independent of
     [oracle_mode]: both modes admit or reject identically, so reports

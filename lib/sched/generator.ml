@@ -255,17 +255,20 @@ let split_implicit imp ~procs =
   }
 
 let of_trace w trace =
-  let n = W.n_vertices w in
-  let seen = Array.make n false in
-  let acc = ref [] in
-  Fmm_machine.Trace.iter
-    (function
-      | Fmm_machine.Trace.Compute v when not seen.(v) ->
-        seen.(v) <- true;
-        acc := v :: !acc
-      | _ -> ())
-    trace;
-  Array.of_list (List.rev !acc)
+  let module Tr = Fmm_machine.Trace in
+  let module Bits = Fmm_util.Bitset in
+  let seen = Bits.create (W.n_vertices w) in
+  let order = Fmm_util.Vec.create ~dummy:0 in
+  for i = 0 to Tr.length trace - 1 do
+    let c = Tr.code trace i in
+    let v = Tr.vertex c in
+    match Tr.kind c with
+    | `Compute when not (Bits.mem seen v) ->
+      Bits.add seen v;
+      Fmm_util.Vec.push order v
+    | _ -> ()
+  done;
+  Fmm_util.Vec.to_array order
 
 let exec_log w ~procs ~assignment =
   let g = W.graph w in

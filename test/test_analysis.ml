@@ -213,7 +213,9 @@ let test_trace_recompute_attribution () =
 
 (* --- trace checker: seeded corruptions --- *)
 
-let lru_trace m = (Sch.run_lru w4 ~cache_size:m (Ord.recursive_dfs cdag4)).Sch.trace
+(* the readable event view: corruptions are list edits *)
+let lru_trace m =
+  Tr.to_list (Sch.run_lru w4 ~cache_size:m (Ord.recursive_dfs cdag4)).Sch.trace
 
 let test_trace_missing_load () =
   let trace = lru_trace 16 in
@@ -229,7 +231,7 @@ let test_trace_missing_load () =
         | _ -> true)
       trace
   in
-  let chk = Tc.check ~cache_size:16 w4 corrupted in
+  let chk = Tc.check ~cache_size:16 w4 (Tr.of_list corrupted) in
   Alcotest.(check bool) "errors found" false (Dg.is_clean chk.report);
   let d = find_code chk.Tc.report "operand-missing" in
   (* located at a trace step, naming the deleted value as the operand *)
@@ -243,7 +245,7 @@ let test_trace_missing_load () =
 let test_trace_overflow () =
   let trace = lru_trace 12 in
   let corrupted = List.filter (function Tr.Evict _ -> false | _ -> true) trace in
-  let chk = Tc.check ~cache_size:12 w4 corrupted in
+  let chk = Tc.check ~cache_size:12 w4 (Tr.of_list corrupted) in
   let d = find_code chk.Tc.report "cache-overflow" in
   (match d.Dg.loc with
   | Dg.Step { step; vertex = Some _ } ->
@@ -257,7 +259,7 @@ let test_trace_missing_final_store () =
   let corrupted =
     List.filter (function Tr.Store v when v = out -> false | _ -> true) trace
   in
-  let chk = Tc.check ~cache_size:16 w4 corrupted in
+  let chk = Tc.check ~cache_size:16 w4 (Tr.of_list corrupted) in
   let d = find_code chk.Tc.report "missing-final-store" in
   Alcotest.(check bool) "located at the output" true (d.Dg.loc = Dg.Vertex out)
 
@@ -271,7 +273,7 @@ let test_trace_output_never_computed () =
         | _ -> true)
       (lru_trace 16)
   in
-  let chk = Tc.check ~cache_size:16 w4 corrupted in
+  let chk = Tc.check ~cache_size:16 w4 (Tr.of_list corrupted) in
   let d = find_code chk.Tc.report "output-not-computed" in
   Alcotest.(check bool) "located at the output" true (d.Dg.loc = Dg.Vertex out)
 
@@ -287,13 +289,13 @@ let test_trace_collects_all_violations () =
         && match e with Tr.Store v when v = out -> false | _ -> true)
       trace
   in
-  let chk = Tc.check ~cache_size:16 w4 corrupted in
+  let chk = Tc.check ~cache_size:16 w4 (Tr.of_list corrupted) in
   Alcotest.(check bool) "at least two errors" true
     (Dg.n_errors chk.Tc.report >= 2);
   Alcotest.(check bool) "dynamic oracle stops at one" true
     (try
        ignore
-         (CM.replay { CM.cache_size = 16; allow_recompute = true } w4 corrupted);
+         (CM.replay { CM.cache_size = 16; allow_recompute = true } w4 (Tr.of_list corrupted));
        false
      with CM.Illegal _ -> true)
 
@@ -315,7 +317,7 @@ let test_trace_warnings () =
       Tr.Store ids.(2);
     ]
   in
-  let chk = Tc.check ~cache_size:8 w trace in
+  let chk = Tc.check ~cache_size:8 w (Tr.of_list trace) in
   Alcotest.(check int) "zero errors" 0 (Dg.n_errors chk.Tc.report);
   Alcotest.(check int) "one dead load" 1 chk.Tc.dead_loads;
   Alcotest.(check int) "one redundant store" 1 chk.Tc.redundant_stores;
@@ -341,7 +343,7 @@ let test_trace_illegal_message_has_step () =
   let trace = lru_trace 16 in
   let corrupted = List.filteri (fun i _ -> i <> 4) trace in
   match
-    CM.replay { CM.cache_size = 16; allow_recompute = true } w4 corrupted
+    CM.replay { CM.cache_size = 16; allow_recompute = true } w4 (Tr.of_list corrupted)
   with
   | _ -> Alcotest.fail "expected Illegal"
   | exception CM.Illegal msg ->

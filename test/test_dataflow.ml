@@ -347,7 +347,7 @@ let test_spill_free_at_maxlive () =
               (Printf.sprintf "%s %s at M=%d above lb" name pname m')
               true
               (Tr.io res'.Sch.counters >= lb')
-          | exception Failure _ -> ())
+          | exception Sch.Cache_too_small _ -> ())
         [
           ("belady", fun () -> Sch.run_belady w ~cache_size:m' order);
           ("lru", fun () -> Sch.run_lru w ~cache_size:m' order);
@@ -390,7 +390,7 @@ let test_lru_spill_free_boundary () =
           (name ^ " lru at MAXLIVE-1: io strictly above compulsory")
           true
           (Tr.io below.Sch.counters > compulsory)
-      | exception Failure _ -> (* cache below max in-degree: vacuous *) ())
+      | exception Sch.Cache_too_small _ -> (* cache below max in-degree: vacuous *) ())
     (let tw, torder = reduction_tree 4 in
      let rw = random_workload 5 in
      [
@@ -456,11 +456,11 @@ let test_check_cached_matches_check () =
         (fields_of_verdict v = fields_of_result r);
       Alcotest.(check int)
         (name ^ " accounting covers the trace")
-        (List.length trace)
+        (Tr.length trace)
         (v.Tc.reused_prefix + v.Tc.replayed + v.Tc.reused_suffix);
       Alcotest.(check int)
         (name ^ " cache length")
-        (List.length trace)
+        (Tr.length trace)
         (Tc.cache_trace_length cache);
       Alcotest.(check bool) (name ^ " cache_verdict") true
         (fields_of_verdict (Tc.cache_verdict cache) = fields_of_verdict v))
@@ -470,7 +470,7 @@ let test_check_cached_matches_check () =
    last bitset checkpoint, never a constant fraction of the trace *)
 let test_check_delta_identity () =
   let trace = (Sch.run_lru w8 ~cache_size:64 dfs8).Sch.trace in
-  let len = List.length trace in
+  let len = Tr.length trace in
   let v0, base = Tc.check_cached ~cache_size:64 w8 trace in
   let v = Tc.check_delta ~base w8 trace in
   Alcotest.(check bool) "same verdict" true
@@ -489,7 +489,7 @@ let test_check_delta_identity () =
 
 type mutation = Drop_load | Drop_evict | Swap_window | Dup_event | Drop_tail
 
-let mutate rng trace =
+let mutate_events rng trace =
   let arr = Array.of_list trace in
   let n = Array.length arr in
   if n < 8 then (trace, "tiny")
@@ -553,6 +553,11 @@ let mutate rng trace =
       let k = 1 + Prng.int rng (n / 4) in
       (Array.to_list (Array.sub arr 0 (n - k)), "drop-tail")
 
+(* mutations are edits of the readable event list *)
+let mutate rng trace =
+  let events, kind = mutate_events rng (Tr.to_list trace) in
+  (Tr.of_list events, kind)
+
 let agree_on_mutant ~name w m base mutant =
   let r = Tc.check ~cache_size:m w mutant in
   let vc, _ = Tc.check_cached ~cache_size:m w mutant in
@@ -563,7 +568,7 @@ let agree_on_mutant ~name w m base mutant =
     (fields_of_verdict vd = fields_of_verdict vc);
   Alcotest.(check int)
     (name ^ " delta accounting")
-    (List.length mutant)
+    (Tr.length mutant)
     (vd.Tc.reused_prefix + vd.Tc.replayed + vd.Tc.reused_suffix);
   (* legality verdict agreement with the dynamic machine *)
   let dynamic_ok =
@@ -680,7 +685,9 @@ let test_analyze_json_roundtrip () =
 (* include a diagnostics-bearing pass: a corrupted trace *)
 let test_analyze_json_roundtrip_with_errors () =
   let trace = (Sch.run_lru w4 ~cache_size:16 dfs4).Sch.trace in
-  let corrupted = List.filter (function Tr.Evict _ -> false | _ -> true) trace in
+  let corrupted =
+    Tr.of_list (List.filter (function Tr.Evict _ -> false | _ -> true) (Tr.to_list trace))
+  in
   let chk = Tc.check ~cache_size:16 w4 corrupted in
   Alcotest.(check bool) "has errors" true (Dg.n_errors chk.Tc.report > 0);
   let t =
@@ -740,6 +747,35 @@ let test_analyze_json_strict () =
   (* not an object at all *)
   expect_reject "not an object" (J.List [])
 
+(* --- the packed trace is read in place --- *)
+
+(* Words allocated by [f]: minor words plus direct major allocations.
+   The runtime's major-word counter can lose words across a major
+   slice, so the minor count alone is taken when it is larger. *)
+let words_allocated f =
+  let m0 = Gc.minor_words () and b0 = Gc.allocated_bytes () in
+  let r = f () in
+  let minor = Gc.minor_words () -. m0 in
+  let all = (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) in
+  (r, Float.max minor all)
+
+(* the trace consumers allocate O(V) (state, diagnostics), never
+   anything per event: on the 78 406-event remat trace each allocates
+   fewer words than the trace has events *)
+let test_consumers_allocate_no_per_event () =
+  let trace = (Sch.run_rematerialize w8 ~cache_size:32 dfs8).Sch.trace in
+  let events = float_of_int (Tr.length trace) in
+  let prof, w_prof = words_allocated (fun () -> Df.trace_profile w8 trace) in
+  let chk, w_chk = words_allocated (fun () -> Tc.check ~cache_size:32 w8 trace) in
+  let _, w_count = words_allocated (fun () -> Tr.count trace) in
+  Alcotest.(check int) "clean trace" 0 (Dg.n_errors chk.Tc.report);
+  Alcotest.(check int) "profile peak = checked peak" chk.Tc.peak_occupancy prof.Df.peak_occupancy;
+  List.iter
+    (fun (name, words) ->
+      if words >= events then
+        Alcotest.failf "%s allocates %.0f words for %.0f events" name words events)
+    [ ("trace_profile", w_prof); ("Trace_check.check", w_chk); ("Trace.count", w_count) ]
+
 let () =
   Alcotest.run "fmm_dataflow"
     [
@@ -770,6 +806,11 @@ let () =
             test_lru_spill_free_boundary;
           Alcotest.test_case "certifier clean + jobs-invariant" `Quick
             test_certify_clean;
+        ] );
+      ( "packed trace",
+        [
+          Alcotest.test_case "consumers allocate no per-event words" `Quick
+            test_consumers_allocate_no_per_event;
         ] );
       ( "incremental",
         [

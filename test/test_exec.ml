@@ -204,18 +204,20 @@ let test_rejects_corrupt_traces () =
   in
   (* drop the first load: some compute loses an operand *)
   let dropped = ref false in
+  let events = Tr.to_list sched.Sch.trace in
   raises "missing load"
-    (List.filter
-       (fun e ->
-         match e with
-         | Tr.Load _ when not !dropped ->
-           dropped := true;
-           false
-         | _ -> true)
-       sched.Sch.trace);
+    (Tr.of_list
+       (List.filter
+          (fun e ->
+            match e with
+            | Tr.Load _ when not !dropped ->
+              dropped := true;
+              false
+            | _ -> true)
+          events));
   (* drop every evict: the fast-memory arena overflows *)
   raises "overflow"
-    (List.filter (function Tr.Evict _ -> false | _ -> true) sched.Sch.trace);
+    (Tr.of_list (List.filter (function Tr.Evict _ -> false | _ -> true) events));
   (* too-small word budget for the same trace *)
   Alcotest.(check bool) "shrunk budget" true
     (match
@@ -298,6 +300,15 @@ let test_cli_degenerate_exit2 () =
         "census -a Strassen -n 8 --cutoff 3";
         "census -a Strassen -n 8 --cutoff 16";
         "hybrid -a Strassen -n 8 -m 64 --cutoff 3";
+        (* a cache too small for the policy's schedule, found by running
+           it: remat needs more than LRU at the same n *)
+        "simulate -n 16 -m 4";
+        "simulate -n 16 -m 8 --remat";
+        "analyze -n 8 -m 4";
+        "exec -a Strassen -n 16 -m 5 --policy remat";
+        "census -a Strassen -n 16 -m 2 --analyze";
+        "optimize -n 8 -m 4";
+        "fft -n 16 -m 2";
       ];
     (* and healthy runs still exit 0 *)
     Alcotest.(check int) "exit 0: healthy exec" 0
@@ -345,6 +356,46 @@ let test_cli_full_range_census () =
       Alcotest.(check int) ("exit 0: " ^ args) 0 (run_cli ~out args);
       Alcotest.(check bool) "zero lint errors" true
         (contains (read_file out) "implicit lint: 0 error(s)"))
+
+(* the baseline gate compares counts exactly: one tampered Int metric
+   of an RC report exits 1 and names the metric *)
+let test_cli_baseline_exact_counts () =
+  let module Json = Fmm_obs.Json in
+  let module Sink = Fmm_obs.Sink in
+  let module M = Fmm_obs.Metrics in
+  if not (Sys.file_exists fmmlab_exe) then Alcotest.skip ();
+  with_temp (fun report ->
+      with_temp (fun tampered ->
+          Alcotest.(check int) "exit 0: write RC report" 0
+            (run_cli ("bench --filter RC --quiet --json " ^ Filename.quote report));
+          let outcomes =
+            match Sink.outcomes_of_json (Json.of_file report) with
+            | Ok o -> o
+            | Error msg -> Alcotest.fail msg
+          in
+          (* bump the first Int metric other than the ratio *)
+          let bumped = ref None in
+          let bump (k, v) =
+            match v with
+            | M.Int i when k <> "ratio" && !bumped = None ->
+              bumped := Some k;
+              (k, M.Int (i + 1))
+            | _ -> (k, v)
+          in
+          let tamper (o : Fmm_obs.Experiment.outcome) =
+            {
+              o with
+              rows = List.map (fun (r : M.row) -> { r with metrics = List.map bump r.metrics }) o.rows;
+            }
+          in
+          Json.to_file tampered (Sink.report_to_json ~created:0. (List.map tamper outcomes));
+          let metric = match !bumped with Some k -> k | None -> Alcotest.fail "no Int metric in RC" in
+          with_temp (fun out ->
+              Alcotest.(check int) "exit 1: tampered count" 1
+                (run_cli ~out ("bench --filter RC --quiet --baseline " ^ Filename.quote tampered));
+              let text = read_file out in
+              Alcotest.(check bool) "REGRESSION names the metric" true
+                (contains text "REGRESSION" && contains text (metric ^ " ") && contains text "(exact)"))))
 
 (* the baseline gate fails closed: a row the baseline lacks exits 1 *)
 let test_cli_baseline_fails_closed () =
@@ -414,5 +465,7 @@ let () =
           Alcotest.test_case "full id range census" `Quick test_cli_full_range_census;
           Alcotest.test_case "baseline gate fails closed" `Quick
             test_cli_baseline_fails_closed;
+          Alcotest.test_case "baseline gate exact counts" `Quick
+            test_cli_baseline_exact_counts;
         ] );
     ]

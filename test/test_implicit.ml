@@ -421,7 +421,9 @@ let test_stream_lru () =
           | [], _ | _, [] ->
             Alcotest.failf "%s: traces have different lengths at %d" name i
         in
-        first_diff 0 er.Sch.trace ir.Sch.trace
+        first_diff 0
+          (Fmm_machine.Trace.to_list er.Sch.trace)
+          (Fmm_machine.Trace.to_list ir.Sch.trace)
       end)
     (List.concat_map
        (fun (alg, n) ->

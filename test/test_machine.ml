@@ -35,7 +35,7 @@ let test_machine_rejects_illegal () =
   let check_illegal name events =
     Alcotest.(check bool) name true
       (try
-         ignore (CM.replay (cfg 8) w2 events);
+         ignore (CM.replay (cfg 8) w2 (Tr.of_list events));
          false
        with CM.Illegal _ -> true)
   in
@@ -54,7 +54,7 @@ let test_machine_rejects_illegal () =
   let too_many = List.map (fun v -> Tr.Load v) inputs in
   Alcotest.(check bool) "cache overflow" true
     (try
-       ignore (CM.replay (cfg 4) w2 too_many);
+       ignore (CM.replay (cfg 4) w2 (Tr.of_list too_many));
        false
      with CM.Illegal _ -> true);
   (* empty trace: outputs never computed *)
@@ -72,14 +72,15 @@ let test_machine_rejects_recompute_when_disabled () =
   let prefix = List.map (fun p -> Tr.Load p) preds in
   let twice = prefix @ [ Tr.Compute enc; Tr.Compute enc ] in
   (* legal with recomputation (up to the final-state check) *)
+  let twice = Tr.of_list twice in
   let st = CM.init (cfg 8) w2 in
-  List.iter (CM.apply st) twice;
+  Tr.iter_codes (CM.apply st) twice;
   Alcotest.(check int) "one recompute counted" 1 (CM.counters st).Tr.recomputes;
   (* illegal without *)
   let st2 = CM.init { CM.cache_size = 8; allow_recompute = false } w2 in
   Alcotest.(check bool) "rejected without recompute" true
     (try
-       List.iter (CM.apply st2) twice;
+       Tr.iter_codes (CM.apply st2) twice;
        false
      with CM.Illegal _ -> true)
 
@@ -206,7 +207,7 @@ let test_lru_raises_on_tiny_cache () =
     (try
        ignore (Sch.run_lru w2 ~cache_size:2 (Ord.naive_topo cdag2));
        false
-     with Failure _ -> true)
+     with Sch.Cache_too_small _ -> true)
 
 
 let test_belady_legal_and_beats_lru () =
@@ -626,7 +627,7 @@ let test_schedulers_differential_random () =
              caches can legitimately refuse; at M=64 it must succeed *)
           let rem =
             try Some (Sch.run_rematerialize w ~cache_size:m order)
-            with Failure _ when m < 64 -> None
+            with Sch.Cache_too_small _ when m < 64 -> None
           in
           let runs =
             [ ("lru", false, Some lru); ("belady", false, Some bel);
@@ -765,7 +766,8 @@ let test_hybrid_differential_random () =
         (fun (fname, recompute) ->
           let ctx = Printf.sprintf "seed %d %s" seed fname in
           match Sch.run_hybrid w ~cache_size:64 ~recompute order with
-          | exception Failure _ -> Alcotest.failf "%s: M=64 refused" ctx
+          | exception (Failure _ | Sch.Cache_too_small _) ->
+            Alcotest.failf "%s: M=64 refused" ctx
           | res ->
             let c =
               CM.replay
@@ -779,7 +781,7 @@ let test_hybrid_differential_random () =
               (Printf.sprintf "%s statically clean" ctx)
               true
               (Tc.clean ~cache_size:64 w res.Sch.trace);
-            List.iter
+            Tr.iter
               (function
                 | Tr.Store v ->
                   Alcotest.(check bool)
@@ -976,9 +978,91 @@ let test_caps_strong_scaling_monotone () =
   Alcotest.(check bool) "per-proc falls" true (w 49 <= w 7);
   Alcotest.(check bool) "total rises" true (49. *. w 49 >= 7. *. w 7)
 
+(* --- the packed trace contract --- *)
+
+(* every scheduler's trace on Strassen n = 8, M = 32 *)
+let packed_traces () =
+  let order = Ord.recursive_dfs cdag8 and m = 32 in
+  [
+    ("lru", Sch.run_lru w8 ~cache_size:m order);
+    ("belady", Sch.run_belady w8 ~cache_size:m order);
+    ("remat", Sch.run_rematerialize w8 ~cache_size:m order);
+    ("hybrid", Sch.run_hybrid w8 ~cache_size:m ~recompute:(fun v -> v mod 2 = 0) order);
+    ( "stream",
+      Fmm_machine.Stream_exec.run_lru_collect (Fmm_cdag.Implicit.of_cdag cdag8) ~cache_size:m );
+  ]
+
+let test_trace_one_word_per_event () =
+  List.iter
+    (fun (name, (r : Sch.result)) ->
+      Alcotest.(check int)
+        (name ^ ": words held = events + header")
+        (Tr.length r.Sch.trace + 1)
+        (Obj.reachable_words (Obj.repr r.Sch.trace)))
+    (packed_traces ())
+
+let test_trace_event_view () =
+  List.iter
+    (fun (name, (r : Sch.result)) ->
+      let t = r.Sch.trace in
+      let events = Tr.to_list t in
+      Alcotest.(check bool) (name ^ ": of_list (to_list t) = t") true (Tr.of_list events = t);
+      Alcotest.(check bool) (name ^ ": get agrees with to_list") true
+        (List.for_all2 ( = ) (List.init (Tr.length t) (Tr.get t)) events);
+      (* a recount through the boxed view *)
+      let computed = Hashtbl.create 64 in
+      let boxed =
+        Tr.fold
+          (fun (c : Tr.counters) e ->
+            match e with
+            | Tr.Load _ -> { c with loads = c.loads + 1 }
+            | Tr.Store _ -> { c with stores = c.stores + 1 }
+            | Tr.Evict _ -> c
+            | Tr.Compute v ->
+              let again = Hashtbl.mem computed v in
+              Hashtbl.replace computed v ();
+              {
+                c with
+                computes = c.computes + 1;
+                recomputes = (c.recomputes + if again then 1 else 0);
+              })
+          { Tr.loads = 0; stores = 0; computes = 0; recomputes = 0 }
+          t
+      in
+      Alcotest.(check bool) (name ^ ": count = boxed recount") true (Tr.count t = boxed);
+      Alcotest.(check bool) (name ^ ": count = scheduler counters") true
+        (Tr.count t = r.Sch.counters))
+    (packed_traces ());
+  (* negative and extreme ids round-trip; sparse ids still count *)
+  let odd = [ Tr.Load (-1); Tr.Compute (-7); Tr.Store (max_int / 4); Tr.Compute (-7);
+              Tr.Evict (min_int / 4); Tr.Compute (max_int / 4) ] in
+  Alcotest.(check bool) "extreme ids round-trip" true (Tr.to_list (Tr.of_list odd) = odd);
+  Alcotest.(check bool) "sparse ids count" true
+    (Tr.count (Tr.of_list odd) = { Tr.loads = 1; stores = 1; computes = 3; recomputes = 1 })
+
+let test_trace_rejects_unpackable () =
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: packed" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("load max_int", fun () -> Tr.load max_int);
+      ("compute min_int", fun () -> Tr.compute min_int);
+      ("store max_int/4 + 1", fun () -> Tr.store ((max_int / 4) + 1));
+      ("evict min_int/4 - 1", fun () -> Tr.evict ((min_int / 4) - 1));
+      ("of_list", fun () -> Tr.length (Tr.of_list [ Tr.Compute (max_int / 2) ]));
+    ]
+
 let () =
   Alcotest.run "fmm_machine"
     [
+      ( "trace",
+        [
+          Alcotest.test_case "one word per event" `Quick test_trace_one_word_per_event;
+          Alcotest.test_case "event view" `Quick test_trace_event_view;
+          Alcotest.test_case "rejects unpackable ids" `Quick test_trace_rejects_unpackable;
+        ] );
       ( "cache_machine",
         [
           Alcotest.test_case "rejects illegal" `Quick test_machine_rejects_illegal;

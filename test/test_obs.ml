@@ -256,6 +256,62 @@ let test_diff_fails_closed () =
   Alcotest.(check (list string)) "line names the experiment"
     [ "  UNMATCHED Z (no baseline experiment)" ] d.Sink.lines
 
+(* Int metrics other than the ratio are exact counts: equal passes, any
+   change fails; an Int ratio stays tolerance-gated *)
+let test_diff_exact_ints () =
+  let outcome ?(ratio = M.Float 1.2) measured =
+    {
+      (outcome_with_ratio "X" 1.2) with
+      Exp.rows =
+        [
+          M.row ~section:"sec"
+            ~params:[ ("n", M.Int 8) ]
+            [ ("measured", M.Int measured); ("ratio", ratio); ("ns/run", M.Float 3.) ];
+        ];
+    }
+  in
+  let base = [ outcome 100 ] in
+  let d = Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ outcome 100 ] () in
+  Alcotest.(check bool) "equal counts pass" true (Sink.passes d);
+  let d = Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ outcome 101 ] () in
+  Alcotest.(check int) "changed count regresses" 1 d.Sink.n_regressions;
+  Alcotest.(check (list string)) "exact line"
+    [ "  REGRESSION X|sec|n=8: measured 100 -> 101 (exact)" ] d.Sink.lines;
+  (* a lower count is a difference too, not an improvement *)
+  let d = Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ outcome 99 ] () in
+  Alcotest.(check bool) "lower count fails" false (Sink.passes d);
+  (* Float metrics other than the ratio are not gated *)
+  let moved =
+    {
+      (outcome 100) with
+      Exp.rows =
+        [
+          M.row ~section:"sec"
+            ~params:[ ("n", M.Int 8) ]
+            [ ("measured", M.Int 100); ("ratio", M.Float 1.2); ("ns/run", M.Float 9.) ];
+        ];
+    }
+  in
+  Alcotest.(check bool) "float metric ungated" true
+    (Sink.passes (Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ moved ] ()));
+  (* an Int ratio moves within the tolerance *)
+  let base = [ outcome ~ratio:(M.Int 10) 100 ] in
+  Alcotest.(check bool) "int ratio within tolerance" true
+    (Sink.passes
+       (Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ outcome ~ratio:(M.Int 11) 100 ] ()));
+  Alcotest.(check int) "int ratio beyond tolerance" 1
+    (Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ outcome ~ratio:(M.Int 12) 100 ] ())
+      .Sink.n_regressions;
+  (* a row with counts but no ratio is matched, and unmatched without a
+     baseline row *)
+  let counts_only =
+    { (outcome 100) with Exp.rows = [ M.row ~section:"s2" [ ("io", M.Int 5) ] ] }
+  in
+  let d = Sink.diff ~tolerance:0.1 ~baseline:[ counts_only ] ~current:[ counts_only ] () in
+  Alcotest.(check int) "ratio-free row compared" 1 d.Sink.n_compared;
+  let d = Sink.diff ~tolerance:0.1 ~baseline:base ~current:[ counts_only ] () in
+  Alcotest.(check int) "ratio-free row unmatched" 1 d.Sink.n_unmatched
+
 let test_diff_time_gate () =
   let base = [ outcome_with_ratio "X" 1.2 ] in
   let cur = [ { (outcome_with_ratio "X" 1.2) with Exp.wall_s = 10.0 } ] in
@@ -346,6 +402,7 @@ let () =
             test_diff_detects_improvement_and_new;
           Alcotest.test_case "fails closed on unmatched rows" `Quick
             test_diff_fails_closed;
+          Alcotest.test_case "exact int metrics" `Quick test_diff_exact_ints;
           Alcotest.test_case "time gate" `Quick test_diff_time_gate;
         ] );
       ( "registry",
