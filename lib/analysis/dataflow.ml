@@ -17,6 +17,7 @@ module D = Fmm_graph.Digraph
 module Prng = Fmm_util.Prng
 
 module Bitset = Fmm_util.Bitset
+module Int_table = Fmm_util.Int_table
 module Vec = Fmm_util.Vec
 
 module Zobrist = struct
@@ -123,78 +124,6 @@ module Streamed = struct
   }
 end
 
-(* --- the sweep's state: an open-addressing int -> count table ---
-
-   For each stop key, how many open intervals end there. Linear probing
-   over nonnegative keys (-1 marks a free slot), grown at half load,
-   deletion by backward shift so no tombstones pile up: it allocates
-   only when it grows, where a Hashtbl allocated a bucket per new key
-   and an option per lookup. *)
-module Counts = struct
-  type t = { mutable keys : int array; mutable counts : int array; mutable size : int }
-
-  let create () = { keys = Array.make 64 (-1); counts = Array.make 64 0; size = 0 }
-
-  let home keys key =
-    let h = key * 0x1E3779B97F4A7C15 in
-    (h lxor (h lsr 29)) land (Array.length keys - 1)
-
-  (* the slot holding [key], or the free slot that ends its probe run *)
-  let rec probe keys key i =
-    let k = keys.(i) in
-    if k = key || k < 0 then i else probe keys key ((i + 1) land (Array.length keys - 1))
-
-  let grow t =
-    let keys = t.keys and counts = t.counts in
-    let cap = 2 * Array.length keys in
-    t.keys <- Array.make cap (-1);
-    t.counts <- Array.make cap 0;
-    for i = 0 to Array.length keys - 1 do
-      let k = keys.(i) in
-      if k >= 0 then begin
-        let j = probe t.keys k (home t.keys k) in
-        t.keys.(j) <- k;
-        t.counts.(j) <- counts.(i)
-      end
-    done
-
-  let incr t key =
-    let i = probe t.keys key (home t.keys key) in
-    if t.keys.(i) = key then t.counts.(i) <- t.counts.(i) + 1
-    else begin
-      t.keys.(i) <- key;
-      t.counts.(i) <- 1;
-      t.size <- t.size + 1;
-      if 2 * t.size > Array.length t.keys then grow t
-    end
-
-  (* remove [key] and return its count (0 when absent; a negative key,
-     such as the sweep's "no previous step", is always absent) *)
-  let take t key =
-    let keys = t.keys in
-    let m = Array.length keys - 1 in
-    let i = probe keys key (home keys key) in
-    if key < 0 || keys.(i) <> key then 0
-    else begin
-      let c = t.counts.(i) in
-      t.size <- t.size - 1;
-      (* pull each later member of the run back into the hole when the
-         hole lies between its home slot and its current slot *)
-      let hole = ref i and j = ref ((i + 1) land m) in
-      while keys.(!j) >= 0 do
-        let k = keys.(!j) in
-        if (!j - home keys k) land m >= (!j - !hole) land m then begin
-          keys.(!hole) <- k;
-          t.counts.(!hole) <- t.counts.(!j);
-          hole := !j
-        end;
-        j := (!j + 1) land m
-      done;
-      keys.(!hole) <- -1;
-      c
-    end
-end
-
 (* One sweep over (view, order) for both backings. [iter_order]
    enumerates the order as (step, vertex) and [pos v] is a vertex's
    position key ([max_int] when unscheduled; keys increase along the
@@ -205,14 +134,15 @@ end
    Every stop is the key of a scheduled step, so the intervals that end
    before step [now] are exactly those stopping at the previous step's
    key: a count of open intervals per stop key is the whole state,
-   O(maxlive) rather than O(V) position arrays. [on_live step live]
-   sees the liveness at each step. Every closure is built once per
-   run, so a step allocates nothing. *)
+   O(maxlive) rather than O(V) position arrays, kept in an int table
+   that allocates only when it grows. [on_live step live] sees the
+   liveness at each step. Every closure is built once per run, so a
+   step allocates nothing. *)
 let sweep work ~pos ~iter_order ~on_live =
-  let closing = Counts.create () in
+  let closing = Int_table.create 32 in
   let running = ref 0 and maxlive = ref 0 and inputs_used = ref 0 in
   let open_until stop =
-    Counts.incr closing stop;
+    Int_table.incr closing stop;
     incr running
   in
   (* earliest and latest scheduled consumer of a value *)
@@ -248,7 +178,7 @@ let sweep work ~pos ~iter_order ~on_live =
   let length = ref 0 and prev = ref (-1) in
   iter_order (fun step v ->
       now := pos v;
-      running := !running - Counts.take closing !prev;
+      running := !running - Int_table.take closing !prev;
       prev := !now;
       use_span v;
       open_until (max !now !hi);

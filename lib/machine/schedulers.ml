@@ -15,17 +15,20 @@
      recomputation).
 
    [run_hybrid] mixes the two per value, and [run_lru] is [run_hybrid]
-   without recomputation. Every policy runs on one cache core over a
-   [Workload] view: residency and pinning are bitsets (V/8 bytes), the
-   recency order is two intrusive lists holding only resident values,
-   and a value's remaining uses are counted from the view's successors
-   and their order positions — so the same code streams the ascending
-   order of an implicit CDAG at n = 256 without O(V)-word state. All
-   traces replay through Cache_machine, which is how the tests
-   guarantee the schedulers only ever emit legal programs. *)
+   without recomputation; [run_belady] replaces by farthest next use.
+   Every policy runs on one cache core over a [Workload] view:
+   residency and pinning are bitsets (V/8 bytes), and each resident
+   value holds a slot of a table of min(M, V) slots that keeps its
+   recency links and a key computed from the view's successors and
+   their order positions — so the same code streams the ascending
+   order of an implicit CDAG at n = 256 without O(V)-word state, and
+   allocates nothing per event. All traces replay through
+   Cache_machine, which is how the tests guarantee the schedulers only
+   ever emit legal programs. *)
 
 module W = Workload
 module Bits = Fmm_util.Bitset
+module Index = Fmm_util.Int_table
 
 type result = {
   trace : Trace.t; (* in execution order *)
@@ -34,106 +37,45 @@ type result = {
 
 exception Cache_too_small of string
 
-(* --- recency: intrusive doubly-linked lists over resident values ---
+(* --- the slot table: recency and keys of the resident values ---
 
-   Cyclic sentinels: [s.next] is the most recent node, [s.prev] the
-   least recent. A resident value's node lives on exactly one list: the
-   live list, ordered by touch, or the dead list (values past their
-   last use — preferred victims), kept sorted by last touch too, so
-   both tails are the least-recently-touched candidates. Evicted nodes
-   are recycled through a free stack, so a run allocates at most
-   cache_size + 1 of them: churning through millions of short-lived
-   nodes instead left enough promoted garbage to raise the peak heap of
-   recompute-heavy runs by a third. *)
+   Each resident value holds one of S = min(cache_size, V) slots, and
+   slots S and S + 1 are the sentinels heading the live and the dead
+   list. A slot keeps the value's vertex, its last touch, its two
+   recency links and its key in flat int arrays; free slots chain
+   through [next], and an open-addressing index sized once for S values
+   maps a vertex to its slot. The table is O(min(M, V)) words, however
+   large the cache, and allocates nothing after its creation.
 
-type node = { mutable v : int; mutable time : int; mutable prev : node; mutable next : node }
+   The lists are cyclic: a sentinel's [next] is the most recent slot,
+   its [prev] the least recent. A resident value's slot lives on
+   exactly one list: the live list, ordered by touch, or the dead list
+   (values past their last use — preferred victims), kept sorted by
+   last touch too, so both tails are the least-recently-touched
+   candidates.
 
-type recency = {
-  live : node;
-  dead : node;
-  free : node; (* [free.next] chains the recycled nodes *)
-  nodes : (int, node) Hashtbl.t; (* resident values only *)
-  mutable clock : int;
-}
-
-let sentinel () =
-  let rec s = { v = -1; time = 0; prev = s; next = s } in
-  s
-
-let unlink nd =
-  nd.prev.next <- nd.next;
-  nd.next.prev <- nd.prev
-
-let insert_before at nd =
-  nd.next <- at;
-  nd.prev <- at.prev;
-  at.prev.next <- nd;
-  at.prev <- nd
-
-let tick r =
-  r.clock <- r.clock + 1;
-  r.clock
-
-let admit r v =
-  let nd =
-    if r.free.next == r.free then { v; time = 0; prev = r.live; next = r.live }
-    else begin
-      let nd = r.free.next in
-      r.free.next <- nd.next;
-      nd.v <- v;
-      nd
-    end
-  in
-  nd.time <- tick r;
-  insert_before r.live.next nd;
-  Hashtbl.add r.nodes v nd
-
-(* A dead value that is used again (hybrid recomputation re-demands
-   it) is live for that consumer: touching it moves it back. *)
-let touch r v =
-  let nd = Hashtbl.find r.nodes v in
-  unlink nd;
-  nd.time <- tick r;
-  insert_before r.live.next nd
-
-(* Dead residents are preferred victims; the list stays sorted by last
-   touch (a value usually dies in the step that touched it last, so the
-   walk stops at the head). *)
-let mark_dead r v =
-  let nd = Hashtbl.find r.nodes v in
-  unlink nd;
-  let at = ref r.dead.next in
-  while !at != r.dead && !at.time > nd.time do
-    at := !at.next
-  done;
-  insert_before !at nd
-
-let forget r v =
-  let nd = Hashtbl.find r.nodes v in
-  unlink nd;
-  Hashtbl.remove r.nodes v;
-  nd.next <- r.free.next;
-  r.free.next <- nd
-
-(* Least-recently-touched unpinned dead resident when one exists
-   (evicting it can never cost a reload), else the least-recently-
-   touched unpinned live resident; -1 when everything is pinned. *)
-let lru_victim r ~pinned =
-  let rec walk s nd = if nd == s then -1 else if Bits.mem pinned nd.v then walk s nd.prev else nd.v in
-  let v = walk r.dead r.dead.prev in
-  if v >= 0 then v else walk r.live r.live.prev
-
-(* --- the cache core: residency, counters, event emission --- *)
+   A key caches what a policy asks about a resident value, computed by
+   one successor scan and kept until the value leaves the cache: its
+   last use under LRU and hybrid, its next use and write-back flag
+   under Belady. *)
 
 type core = {
   work : W.t;
   cache_size : int;
   emit : int -> unit; (* a packed Trace code *)
+  pos : int -> int; (* a vertex's position key; max_int when unscheduled *)
   in_cache : Bits.t;
   in_slow : Bits.t;
   pinned : Bits.t;
   ever_resident : Bits.t; (* loaded or computed at some point *)
-  recency : recency;
+  vertex : int array; (* the slot table, S + 2 entries each *)
+  time : int array;
+  prev : int array;
+  next : int array;
+  key : int array;
+  index : Index.t; (* resident vertex -> slot *)
+  mutable free : int; (* first free slot, -1 when none *)
+  mutable clock : int;
   mutable occupancy : int;
   mutable loads : int;
   mutable stores : int;
@@ -143,27 +85,59 @@ type core = {
   mutable spill_stores : int; (* stores of non-output victims *)
   mutable ops : int array; (* operand stack: one frame per pending compute *)
   mutable sp : int;
+  mutable after : int; (* the successor scans' bound and result *)
+  mutable found : int;
+  push : int -> unit; (* the callbacks, built once with the core *)
+  max_pos : int -> unit;
+  min_pos_after : int -> unit;
 }
 
-let make_core work ~cache_size ~emit =
+let[@inline] live c = Array.length c.vertex - 2
+let[@inline] dead c = Array.length c.vertex - 1
+let unknown = min_int (* a key not computed yet *)
+
+let push_op c p =
+  if c.sp = Array.length c.ops then begin
+    let bigger = Array.make (2 * c.sp) 0 in
+    Array.blit c.ops 0 bigger 0 c.sp;
+    c.ops <- bigger
+  end;
+  c.ops.(c.sp) <- p;
+  c.sp <- c.sp + 1
+
+let max_pos c s =
+  let k = c.pos s in
+  if k > c.found then c.found <- k
+
+let min_pos_after c s =
+  let k = c.pos s in
+  if k > c.after && k < c.found then c.found <- k
+
+let make_core work ~cache_size ~emit ~pos =
   let n = W.n_vertices work in
-  let core =
+  let slots = max 0 (min cache_size n) in
+  let rec c =
     {
       work;
       cache_size;
       emit;
+      pos;
       in_cache = Bits.create n;
       in_slow = Bits.create n;
       pinned = Bits.create n;
       ever_resident = Bits.create n;
-      recency =
-        {
-          live = sentinel ();
-          dead = sentinel ();
-          free = sentinel ();
-          nodes = Hashtbl.create 1024;
-          clock = 0;
-        };
+      vertex = Array.make (slots + 2) (-1);
+      time = Array.make (slots + 2) 0;
+      (* free slots chain up to -1; the sentinels start as empty
+         cyclic lists *)
+      prev = Array.init (slots + 2) (fun s -> if s >= slots then s else -1);
+      next =
+        Array.init (slots + 2) (fun s ->
+            if s >= slots then s else if s + 1 < slots then s + 1 else -1);
+      key = Array.make (slots + 2) unknown;
+      index = Index.create (slots + 1);
+      free = (if slots > 0 then 0 else -1);
+      clock = 0;
       occupancy = 0;
       loads = 0;
       stores = 0;
@@ -173,10 +147,106 @@ let make_core work ~cache_size ~emit =
       spill_stores = 0;
       ops = Array.make 64 0;
       sp = 0;
+      after = 0;
+      found = 0;
+      push = (fun p -> push_op c p);
+      max_pos = (fun s -> max_pos c s);
+      min_pos_after = (fun s -> min_pos_after c s);
     }
   in
-  Array.iter (Bits.add core.in_slow) (W.inputs work);
-  core
+  Array.iter (Bits.add c.in_slow) (W.inputs work);
+  c
+
+let[@inline] unlink c s =
+  let p = c.prev.(s) and n = c.next.(s) in
+  c.next.(p) <- n;
+  c.prev.(n) <- p
+
+let[@inline] insert_before c at s =
+  let p = c.prev.(at) in
+  c.next.(s) <- at;
+  c.prev.(s) <- p;
+  c.next.(p) <- s;
+  c.prev.(at) <- s
+
+let[@inline] tick c =
+  c.clock <- c.clock + 1;
+  c.clock
+
+(* The slot of a resident value; the functions below take slots. *)
+let[@inline] slot c v = Index.find c.index v
+
+(* A value enters as the most recent live one, with its key unknown. *)
+let[@inline] admit c v =
+  let s = c.free in
+  c.free <- c.next.(s);
+  c.vertex.(s) <- v;
+  c.time.(s) <- tick c;
+  c.key.(s) <- unknown;
+  insert_before c c.next.(live c) s;
+  Index.replace c.index v s;
+  s
+
+(* A dead value that is used again (hybrid recomputation re-demands
+   it) is live for that consumer: touching it moves it back. *)
+let[@inline] touch c s =
+  unlink c s;
+  c.time.(s) <- tick c;
+  insert_before c c.next.(live c) s
+
+(* Dead residents are preferred victims; the list stays sorted by last
+   touch (a value usually dies in the step that touched it last, so the
+   walk stops at the head). *)
+let rec dead_spot c time at =
+  if at <> dead c && c.time.(at) > time then dead_spot c time c.next.(at) else at
+
+let[@inline] mark_dead c s =
+  unlink c s;
+  insert_before c (dead_spot c c.time.(s) c.next.(dead c)) s
+
+let[@inline] forget c s =
+  ignore (Index.take c.index c.vertex.(s));
+  unlink c s;
+  c.next.(s) <- c.free;
+  c.free <- s
+
+(* The least-recently-touched unpinned slot on the list headed by
+   [head], walking back from slot [s]; [head] when all are pinned. *)
+let rec unpinned_tail c head s =
+  if s = head || not (Bits.mem c.pinned c.vertex.(s)) then s
+  else unpinned_tail c head c.prev.(s)
+
+(* Least-recently-touched unpinned dead resident when one exists
+   (evicting it can never cost a reload), else the least-recently-
+   touched unpinned live resident; -1 when everything is pinned. *)
+let lru_victim c =
+  let s = unpinned_tail c (dead c) c.prev.(dead c) in
+  if s <> dead c then s
+  else
+    let s = unpinned_tail c (live c) c.prev.(live c) in
+    if s <> live c then s else -1
+
+(* The largest position key among [v]'s successors, -1 when it has
+   none: "is [v] used at or after position [p]?" is [last_use >= p],
+   and an unscheduled successor ([max_int]) is a use forever. A
+   resident value keeps it in its slot, so it is scanned at most once
+   per residency. *)
+let scan_last_use c v =
+  c.found <- -1;
+  W.iter_succs c.work v ~f:c.max_pos;
+  c.found
+
+let[@inline] last_use c s =
+  if c.key.(s) = unknown then c.key.(s) <- scan_last_use c c.vertex.(s);
+  c.key.(s)
+
+(* The smallest scheduled successor position after [now], [max_int]
+   when none: the next step that references [v] as an operand. *)
+let next_use c v now =
+  c.after <- now;
+  c.found <- max_int;
+  W.iter_succs c.work v ~f:c.min_pos_after;
+  c.found
 
 let too_small core =
   raise
@@ -194,52 +264,47 @@ let counters core =
 
 (* Push [v]'s operands as a new frame; they occupy [ops.(base ..
    sp-1)] until the caller resets [sp] to the returned base. *)
-let push_operands core v =
+let[@inline] push_operands core v =
   let base = core.sp in
-  W.iter_preds core.work v ~f:(fun p ->
-      if core.sp = Array.length core.ops then begin
-        let bigger = Array.make (2 * core.sp) 0 in
-        Array.blit core.ops 0 bigger 0 core.sp;
-        core.ops <- bigger
-      end;
-      core.ops.(core.sp) <- p;
-      core.sp <- core.sp + 1);
+  W.iter_preds core.work v ~f:core.push;
   base
 
-let store core v =
+let[@inline] store core v =
   core.emit (Trace.store v);
   Bits.add core.in_slow v;
   core.stores <- core.stores + 1
 
-let evict core v =
+let[@inline] evict core s =
+  let v = core.vertex.(s) in
   core.emit (Trace.evict v);
   Bits.remove core.in_cache v;
   core.occupancy <- core.occupancy - 1;
-  forget core.recency v
+  forget core s
 
-let make_resident core v =
+let[@inline] make_resident core v =
   Bits.add core.in_cache v;
   Bits.add core.ever_resident v;
   core.occupancy <- core.occupancy + 1;
-  admit core.recency v
+  admit core v
 
-(* Evict the LRU victim (dead first); [writeback v] decides whether it
-   must be stored first. *)
+(* Evict the LRU victim (dead first); [writeback s] decides whether the
+   value in slot [s] must be stored first. *)
 let evict_one core ~writeback =
-  let v = lru_victim core.recency ~pinned:core.pinned in
-  if v < 0 then too_small core;
-  if writeback v && not (Bits.mem core.in_slow v) then begin
+  let s = lru_victim core in
+  if s < 0 then too_small core;
+  let v = core.vertex.(s) in
+  if writeback s && not (Bits.mem core.in_slow v) then begin
     store core v;
     if not (W.is_output core.work v) then core.spill_stores <- core.spill_stores + 1
   end;
-  evict core v
+  evict core s
 
 let ensure_room core ~writeback =
   while core.occupancy >= core.cache_size do
     evict_one core ~writeback
   done
 
-let fetch core v =
+let[@inline] fetch core v =
   core.emit (Trace.load v);
   if Bits.mem core.ever_resident v then core.reloads <- core.reloads + 1;
   core.loads <- core.loads + 1;
@@ -248,7 +313,7 @@ let fetch core v =
 (* A non-input value is resident only after a compute (a load needs a
    store, which needs a compute), so [ever_resident] marks the values
    computed before. *)
-let compute core v =
+let[@inline] compute core v =
   core.emit (Trace.compute v);
   if Bits.mem core.ever_resident v then core.recomputes <- core.recomputes + 1;
   core.computes <- core.computes + 1;
@@ -286,11 +351,11 @@ type policy = {
    from its operands (re-pinning them: deep recursion may have
    unpinned or evicted one). A rebuilt value is left pinned. *)
 let rec materialize core pol v =
-  if Bits.mem core.in_cache v then touch core.recency v
+  if Bits.mem core.in_cache v then touch core (slot core v)
   else if pol.reload v then begin
     Bits.add core.pinned v;
     ensure_room core ~writeback:pol.writeback;
-    fetch core v
+    ignore (fetch core v)
   end
   else begin
     let base = push_operands core v in
@@ -305,7 +370,7 @@ let rec materialize core pol v =
     done;
     pol.charge v;
     ensure_room core ~writeback:pol.writeback;
-    compute core v;
+    ignore (compute core v);
     Bits.add core.pinned v;
     for i = base to top - 1 do
       Bits.remove core.pinned core.ops.(i)
@@ -333,29 +398,23 @@ let collect run =
    when next needed; without [recompute] (spill only) a missing operand
    is an error and the run enforces Dataflow's spill-free bound: when
    [cache_size >= MAXLIVE(order)] the trace must contain zero spills
-   (no reload, no store of a non-output). A value's remaining
-   first-time uses are its successors at positions from the current
-   step on. *)
+   (no reload, no store of a non-output). A value still has a
+   first-time use when its last use is at or after the current step. *)
 let run_spill ~who ?recompute ~max_flops work ~cache_size ~emit ~pos iter_order =
-  let core = make_core work ~cache_size ~emit in
+  let core = make_core work ~cache_size ~emit ~pos in
   let spill_only = Option.is_none recompute in
   let is_output = W.is_output work and is_input = W.is_input work in
-  let from = ref 0 and count = ref 0 in
-  let count_use s = if pos s >= !from then incr count in
-  let uses_from v from_ =
-    from := from_;
-    count := 0;
-    W.iter_succs work v ~f:count_use;
-    !count
-  in
   let cur = ref 0 in
   (* A victim is written back when it is an output (dropping one only
      defers a store it must pay anyway) or when a first-time use
      remains and the policy says spill. *)
   let writeback =
     match recompute with
-    | None -> fun v -> is_output v || uses_from v !cur > 0
-    | Some r -> fun v -> is_output v || ((not (r v)) && uses_from v !cur > 0)
+    | None -> fun s -> is_output core.vertex.(s) || last_use core s >= !cur
+    | Some r ->
+      fun s ->
+        let v = core.vertex.(s) in
+        is_output v || ((not (r v)) && last_use core s >= !cur)
   in
   let pol =
     {
@@ -378,7 +437,7 @@ let run_spill ~who ?recompute ~max_flops work ~cache_size ~emit ~pos iter_order 
       (* Pin operands so making room for one cannot evict another. *)
       for i = base to top - 1 do
         let p = core.ops.(i) in
-        if Bits.mem core.in_cache p then touch core.recency p
+        if Bits.mem core.in_cache p then touch core (slot core p)
         else begin
           if spill_only && not (Bits.mem core.in_slow p) then
             failwith
@@ -390,26 +449,34 @@ let run_spill ~who ?recompute ~max_flops work ~cache_size ~emit ~pos iter_order 
       done;
       pol.charge v;
       ensure_room core ~writeback;
-      compute core v;
+      let s = compute core v in
       incr live;
       if !live > !maxlive then maxlive := !live;
       for i = base to top - 1 do
         let p = core.ops.(i) in
         Bits.remove core.pinned p;
-        if (not (seen_in_frame core.ops base i p)) && uses_from p (!cur + 1) = 0 then begin
-          decr live;
-          if Bits.mem core.in_cache p then
-            (* Unstored outputs stay resident but join the preferred-
-               victim pool: evicting one only pays its one mandatory
-               store early. Other dead values leave for free; a later
-               recompute that re-demands one rebuilds it. *)
-            if is_output p then mark_dead core.recency p else evict core p
-        end
+        if not (seen_in_frame core.ops base i p) then
+          if Bits.mem core.in_cache p then begin
+            let ps = slot core p in
+            if last_use core ps <= !cur then begin
+              decr live;
+              (* Unstored outputs stay resident but join the preferred-
+                 victim pool: evicting one only pays its one mandatory
+                 store early. Other dead values leave for free; a later
+                 recompute that re-demands one rebuilds it. *)
+              if is_output p then mark_dead core ps else evict core ps
+            end
+          end
+          else if
+            (* a nested rebuild can unpin an operand pinned before it,
+               which can then be evicted (hybrid at tight caches) *)
+            scan_last_use core p <= !cur
+          then decr live
       done;
       core.sp <- base;
-      if uses_from v (!cur + 1) = 0 then begin
+      if last_use core s <= !cur then begin
         decr live;
-        mark_dead core.recency v
+        mark_dead core s
       end);
   flush_outputs core;
   if
@@ -449,144 +516,157 @@ let stream_lru work ~cache_size ~on_event =
 
 (* --- Belady / offline-optimal replacement --- *)
 
+(* Belady's victim heap: a binary heap over the slots of the unpinned
+   residents, the best victim on top. A slot's key packs its value's
+   next use and whether evicting it is free,
+   [min next never lsl 1 lor clean], so the heap orders by farthest
+   next use, then clean before dirty, then by the smaller vertex id —
+   the total order Belady's victim choice maximizes. [at.(s)] is slot
+   [s]'s index in the heap, -1 while it is out (pinned or free). *)
+type heap = { slots : int array; at : int array; mutable size : int }
+
+let never = max_int asr 1 (* a next use beyond every position *)
+let belady_key ~next ~clean = ((min next never) lsl 1) lor Bool.to_int clean
+let next_of key = key asr 1
+let is_clean key = key land 1 = 1
+
+let above c a b =
+  let ka = c.key.(a) and kb = c.key.(b) in
+  ka > kb || (ka = kb && c.vertex.(a) < c.vertex.(b))
+
+let place h i s =
+  h.slots.(i) <- s;
+  h.at.(s) <- i
+
+let rec sift_up c h i s =
+  let parent = (i - 1) / 2 in
+  if i > 0 && above c s h.slots.(parent) then begin
+    place h i h.slots.(parent);
+    sift_up c h parent s
+  end
+  else place h i s
+
+let rec sift_down c h i s =
+  let l = (2 * i) + 1 in
+  let child = if l + 1 < h.size && above c h.slots.(l + 1) h.slots.(l) then l + 1 else l in
+  if child < h.size && above c h.slots.(child) s then begin
+    place h i h.slots.(child);
+    sift_down c h child s
+  end
+  else place h i s
+
+(* put slot [s] at heap index [i] and restore the order around it *)
+let settle c h i s =
+  if i > 0 && above c s h.slots.((i - 1) / 2) then sift_up c h i s else sift_down c h i s
+
+(* Add [s] to the heap, or move it to where its new key belongs. *)
+let heap_set c h s =
+  if h.at.(s) >= 0 then settle c h h.at.(s) s
+  else begin
+    h.size <- h.size + 1;
+    sift_up c h (h.size - 1) s
+  end
+
+let heap_remove c h s =
+  let i = h.at.(s) in
+  if i >= 0 then begin
+    h.at.(s) <- -1;
+    h.size <- h.size - 1;
+    if i < h.size then settle c h i h.slots.(h.size)
+  end
+
 (** Execute [order] with Belady's MIN policy: given the whole future
     reference sequence, evict the resident value whose next use is
     farthest away (never-used-again values first). Offline-optimal for
     the replacement decision at a fixed compute order, so its I/O lower
     bounds every demand-paging execution of that order — the tightest
     schedule the no-recomputation machine can extract from an order
-    without reordering. *)
+    without reordering.
+
+    Ties on the next use are broken toward a CLEAN victim (already in
+    slow memory, or never used again and not an output, so never
+    written back): evicting it is free, while a dirty co-leader would
+    cost a Store the clean choice avoids. Within the same cleanliness
+    class the smallest vertex id wins, so the policy is deterministic.
+
+    A value is referenced at the steps of its scheduled successors, so
+    its next use and write-back flag change only when it is
+    referenced: its key is set when it is computed or fetched, reset
+    for every resident operand at the start of the step that uses it,
+    and reset again when the step unpins it. *)
 let run_belady work ~cache_size order =
+  let pos, _ = list_order work order in
   collect (fun emit ->
-      let core = make_core work ~cache_size ~emit in
+      let c = make_core work ~cache_size ~emit ~pos in
+      let slots = Array.length c.vertex - 2 in
+      let h = { slots = Array.make slots 0; at = Array.make slots (-1); size = 0 } in
       let is_output = W.is_output work in
-      (* Reference positions per vertex, flat: vertex v is referenced
-         at step i when it is an operand of order[i] (and at its own
-         compute step); its steps are [refs.(first.(v) ..
-         first.(v+1) - 1)], ascending. [cursor.(v)] skips the ones
-         already in the past. *)
-      let n = W.n_vertices work in
-      let first = Array.make (n + 1) 0 in
-      let tally v = first.(v + 1) <- first.(v + 1) + 1 in
-      List.iter
-        (fun v ->
-          tally v;
-          W.iter_preds work v ~f:tally)
-        order;
-      for v = 0 to n - 1 do
-        first.(v + 1) <- first.(v + 1) + first.(v)
-      done;
-      let refs = Array.make first.(n) 0 in
-      let cursor = Array.sub first 0 n in
-      let step = ref 0 in
-      let record v =
-        refs.(cursor.(v)) <- !step;
-        cursor.(v) <- cursor.(v) + 1
+      (* key slot [s] as referenced at step [now]: its value needs
+         write-back unless it is in slow memory *)
+      let key_used s now =
+        let v = c.vertex.(s) in
+        c.key.(s) <- belady_key ~next:(next_use c v now) ~clean:(Bits.mem c.in_slow v)
       in
-      List.iteri
-        (fun i v ->
-          step := i;
-          record v;
-          W.iter_preds work v ~f:record)
-        order;
-      Array.blit first 0 cursor 0 n;
-      (* index of v's first reference at or after step [now] *)
-      let refs_from v now =
-        let k = ref cursor.(v) and stop = first.(v + 1) in
-        while !k < stop && refs.(!k) < now do
-          incr k
-        done;
-        cursor.(v) <- !k;
-        !k
+      (* past its references at [now]: write-back only for an output or
+         a value with a next use *)
+      let key_unpinned s next =
+        let v = c.vertex.(s) in
+        let clean = Bits.mem c.in_slow v || not (is_output v || next < never) in
+        c.key.(s) <- belady_key ~next ~clean;
+        heap_set c h s
       in
-      let next_use_after v now =
-        let k = ref (refs_from v now) and stop = first.(v + 1) in
-        while !k < stop && refs.(!k) <= now do
-          incr k
-        done;
-        if !k < stop then refs.(!k) else max_int
-      in
-      (* a value with a use at or after [now] still has a consumer to
-         serve, so evicting it must write it back *)
-      let writeback now v = is_output v || refs_from v now < first.(v + 1) in
-      (* Belady eviction: scan the residents (at most cache_size
-         entries, NOT the whole vertex set, which matters at n = 64
-         where the CDAG has ~10^6 vertices) for the farthest next use.
-         Ties on the next-use distance are broken toward a CLEAN victim
-         (already in slow memory, or dead so never written back):
-         evicting it is free, while a dirty co-leader would cost a Store
-         the clean choice avoids. Within the same cleanliness class the
-         smallest vertex id wins; every clause is scan-order-
-         independent, so the policy stays deterministic. The scan walks
-         the live list, then the dead one. *)
-      let r = core.recency in
-      let evict_belady now =
-        let victim = ref (-1) and victim_next = ref (-1) in
-        let victim_dirty = ref false in
-        let nd = ref (if r.live.next == r.live then r.dead.next else r.live.next) in
-        while !nd != r.dead do
-          let v = !nd.v in
-          if not (Bits.mem core.pinned v) then begin
-            let nu = next_use_after v now in
-            (* a nearer next use loses whatever its cleanliness *)
-            if nu >= !victim_next then begin
-              let dirty = (not (Bits.mem core.in_slow v)) && writeback now v in
-              if
-                nu > !victim_next
-                || (!victim_dirty && not dirty)
-                || (!victim_dirty = dirty && v < !victim)
-              then begin
-                victim := v;
-                victim_next := nu;
-                victim_dirty := dirty
-              end
-            end
-          end;
-          nd := if !nd.next == r.live then r.dead.next else !nd.next
-        done;
-        if !victim < 0 then too_small core;
-        let v = !victim in
-        if writeback now v && not (Bits.mem core.in_slow v) then store core v;
-        evict core v
-      in
-      let ensure_room_belady now =
-        while core.occupancy >= core.cache_size do
-          evict_belady now
+      let ensure_room () =
+        while c.occupancy >= c.cache_size do
+          if h.size = 0 then too_small c;
+          let s = h.slots.(0) in
+          heap_remove c h s;
+          if not (is_clean c.key.(s)) then store c c.vertex.(s);
+          evict c s
         done
       in
       List.iteri
         (fun now v ->
-          let base = push_operands core v in
-          let top = core.sp in
+          let base = push_operands c v in
+          let top = c.sp in
+          (* operands still unpinned can be evicted while an earlier one
+             is fetched: key them as used now first *)
           for i = base to top - 1 do
-            let p = core.ops.(i) in
-            if not (Bits.mem core.in_cache p) then begin
-              if not (Bits.mem core.in_slow p) then
-                failwith
-                  (Printf.sprintf
-                     "Schedulers.run_belady: order step %d (vertex %d): operand %d lost" now v
-                     p);
-              Bits.add core.pinned p;
-              ensure_room_belady now;
-              fetch core p
+            let p = c.ops.(i) in
+            if Bits.mem c.in_cache p then begin
+              let s = slot c p in
+              key_used s now;
+              heap_set c h s
             end
-            else Bits.add core.pinned p
           done;
-          ensure_room_belady now;
-          compute core v;
           for i = base to top - 1 do
-            let p = core.ops.(i) in
-            Bits.remove core.pinned p;
-            if
-              next_use_after p now = max_int
-              && (not (is_output p))
-              && Bits.mem core.in_cache p
-            then evict core p
+            let p = c.ops.(i) in
+            let resident = Bits.mem c.in_cache p in
+            if (not resident) && not (Bits.mem c.in_slow p) then
+              failwith
+                (Printf.sprintf
+                   "Schedulers.run_belady: order step %d (vertex %d): operand %d lost" now v p);
+            Bits.add c.pinned p;
+            if resident then heap_remove c h (slot c p)
+            else begin
+              ensure_room ();
+              key_used (fetch c p) now
+            end
           done;
-          core.sp <- base)
+          ensure_room ();
+          key_unpinned (compute c v) (next_use c v now);
+          for i = base to top - 1 do
+            let p = c.ops.(i) in
+            Bits.remove c.pinned p;
+            if Bits.mem c.in_cache p then begin
+              let s = slot c p in
+              let next = next_of c.key.(s) in
+              if next = never && not (is_output p) then evict c s else key_unpinned s next
+            end
+          done;
+          c.sp <- base)
         order;
-      flush_outputs core;
-      counters core)
+      flush_outputs c;
+      counters c)
 
 (* --- rematerializing execution --- *)
 
@@ -596,7 +676,8 @@ let run_belady work ~cache_size order =
     pathological blow-ups. *)
 let run_rematerialize ?(max_flops = 200_000_000) work ~cache_size order =
   collect (fun emit ->
-      let core = make_core work ~cache_size ~emit in
+      (* no key is ever asked for, so no position is needed *)
+      let core = make_core work ~cache_size ~emit ~pos:(fun _ -> max_int) in
       (* Never write back: intermediates are recomputable, inputs are
          already in slow memory, outputs are stored at first compute. *)
       let pol =

@@ -11,10 +11,15 @@ type result = {
 
 exception Cache_too_small of string
 (** Raised by every scheduler when a step cannot make room: every
-    resident value is pinned as an operand of a pending compute. How
+    resident value is pinned as an operand of a pending compute (a
+    cache of zero or negative size refuses the first step). How
     much cache is enough depends on the policy and the order, not only
     on the CDAG (at Strassen n = 16 rematerialization still fails at
-    M = 8 where LRU runs at M = 5), so callers learn it by running. *)
+    M = 8 where LRU runs at M = 5), so callers learn it by running.
+
+    Every scheduler keeps V/8-byte residency bitsets and a slot table
+    of min(cache_size, V) entries, so a cache far larger than the CDAG
+    costs nothing extra. *)
 
 val run_lru : Workload.t -> cache_size:int -> int list -> result
 (** LRU replacement with write-back spilling; no vertex is ever
@@ -35,14 +40,19 @@ val stream_lru :
     each event's packed code ({!Trace.kind}, {!Trace.vertex}) to
     [on_event] instead of building a trace, and building
     no order list or position table: on an implicit view the run keeps
-    V/8 bytes per residency set plus O(cache) words. *)
+    V/8 bytes per residency set plus O(min(cache, V)) words, and
+    allocates nothing per event. *)
 
 val run_belady : Workload.t -> cache_size:int -> int list -> result
 (** Offline-optimal (MIN) replacement for the given order: evict the
-    resident value whose next use is farthest away. Its I/O lower
-    bounds every demand-paging execution of the same order, so
-    belady <= lru pointwise — and it still cannot beat the Theorem 1.1
-    bound. *)
+    resident value whose next use is farthest away (ties: a value
+    evicted for free before one that must be stored, then the smaller
+    id). Its I/O lower bounds every demand-paging execution of the same
+    order, so belady <= lru pointwise — and it still cannot beat the
+    Theorem 1.1 bound. Next uses come from successor scans against the
+    order's position table, and victims from a heap over the slots, so
+    beyond the trace, the position table and the residency bitsets it
+    keeps O(M) words. *)
 
 val run_rematerialize :
   ?max_flops:int -> Workload.t -> cache_size:int -> int list -> result

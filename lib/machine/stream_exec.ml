@@ -2,7 +2,6 @@
    core on the implicit Workload view, in ascending-id order. *)
 
 let run_lru imp ~cache_size ?(on_event = fun (_ : int) -> ()) () =
-  if cache_size < 1 then invalid_arg "Stream_exec.run_lru: cache_size < 1";
   Schedulers.stream_lru (Workload.of_implicit imp) ~cache_size ~on_event
 
 (* Materializing variant for differential tests at small n. *)

@@ -16,7 +16,8 @@ val run_lru :
     [Schedulers.run_lru]'s policy — so at [cache_size >= MAXLIVE] of
     the canonical order the run is spill-free (asserted, raising
     [Failure] if violated). [cache_size] must exceed the maximum
-    in-degree. [on_event] sees the packed codes ({!Trace.kind},
+    in-degree (raises {!Schedulers.Cache_too_small} otherwise, zero and
+    negative sizes included). [on_event] sees the packed codes ({!Trace.kind},
     {!Trace.vertex}) of the exact event sequence [Schedulers.run_lru]
     produces for the same order on the explicit graph. *)
 

@@ -73,20 +73,42 @@ let event_to_string = function
   | Evict v -> Printf.sprintf "evict %d" v
   | Compute v -> Printf.sprintf "compute %d" v
 
-type builder = { mutable codes : int array; mutable len : int }
+(* Codes accumulate in chunks that double from 1 024 words up to
+   [max_chunk]. A full chunk is kept as it is, so growing never copies
+   codes nor holds an old and a new buffer at once, and no chunk but
+   the last has slack; [freeze] copies every chunk once into the
+   exact-length trace. *)
+type builder = {
+  mutable full : int array list; (* filled chunks, newest first *)
+  mutable filled : int; (* codes in [full] *)
+  mutable chunk : int array;
+  mutable fill : int; (* codes in [chunk] *)
+}
 
-let builder () = { codes = Array.make 1024 0; len = 0 }
+let max_chunk = 1 lsl 16
+
+let builder () = { full = []; filled = 0; chunk = Array.make 1024 0; fill = 0 }
 
 let add b code =
-  if b.len = Array.length b.codes then begin
-    let bigger = Array.make (2 * b.len) 0 in
-    Array.blit b.codes 0 bigger 0 b.len;
-    b.codes <- bigger
+  if b.fill = Array.length b.chunk then begin
+    b.full <- b.chunk :: b.full;
+    b.filled <- b.filled + b.fill;
+    b.chunk <- Array.make (min max_chunk (2 * b.fill)) 0;
+    b.fill <- 0
   end;
-  b.codes.(b.len) <- code;
-  b.len <- b.len + 1
+  b.chunk.(b.fill) <- code;
+  b.fill <- b.fill + 1
 
-let freeze b = Array.sub b.codes 0 b.len
+let freeze b =
+  let t = Array.make (b.filled + b.fill) 0 in
+  Array.blit b.chunk 0 t b.filled b.fill;
+  let stop = ref b.filled in
+  List.iter
+    (fun c ->
+      stop := !stop - Array.length c;
+      Array.blit c 0 t !stop (Array.length c))
+    b.full;
+  t
 
 type counters = {
   loads : int;

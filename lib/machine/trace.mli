@@ -56,13 +56,14 @@ val event_to_string : event -> string
 (** {2 Building a trace} *)
 
 type builder
-(** A growable buffer of packed codes. *)
+(** A growable buffer of packed codes, kept in chunks of at most 2^16
+    words: adding a code never copies the codes before it. *)
 
 val builder : unit -> builder
 val add : builder -> int -> unit
 
 val freeze : builder -> t
-(** The codes added so far, as an exact-length trace. *)
+(** The codes added so far, copied once into an exact-length trace. *)
 
 (** {2 Counters} *)
 

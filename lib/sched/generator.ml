@@ -198,6 +198,15 @@ let split_order ?(rounds = 4) w ~procs order =
 let split_implicit imp ~procs =
   if procs < 1 || procs > 62 then
     invalid_arg "Generator.split_implicit: procs must be in [1, 62]";
+  (* The result's two O(V) arrays are 91 MB at Strassen n = 128. A
+     dropped previous result stays allocated until the collector ends
+     a cycle begun after it died, which the light allocation of a
+     streaming pipeline seldom drives (one Gc.compact is not enough on
+     OCaml 5.1), so two back-to-back stream-n128 perfbench jobs
+     peaked at 147-150 MiB where one peaks at 95. Finishing the
+     pending cycles first frees it before the new arrays are written
+     (103 MiB over three jobs). *)
+  Gc.full_major ();
   let nv = Im.n_vertices imp in
   let ni = Im.n_inputs imp in
   let len = nv - ni in

@@ -54,7 +54,8 @@ val split_implicit : Fmm_cdag.Implicit.t -> procs:int -> split
     local search) and counts crossing words exactly in one
     [iter_preds] sweep with a per-value consuming-part bitmask — O(V)
     words of state, never the edge list. Requires [procs <= 62] (the
-    bitmask is one OCaml int). *)
+    bitmask is one OCaml int). It runs a full major collection first,
+    so back-to-back calls hold one result's arrays at a time. *)
 
 val of_trace : Fmm_machine.Workload.t -> Fmm_machine.Trace.t -> int array
 (** The first-compute order of a trace — the bridge from the

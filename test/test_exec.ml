@@ -307,6 +307,8 @@ let test_cli_degenerate_exit2 () =
         "analyze -n 8 -m 4";
         "exec -a Strassen -n 16 -m 5 --policy remat";
         "census -a Strassen -n 16 -m 2 --analyze";
+        (* no cache at all: the scheduler core refuses the first step *)
+        "census -a Strassen -n 8 -m 0 --analyze";
         "optimize -n 8 -m 4";
         "fft -n 16 -m 2";
       ];
@@ -319,7 +321,12 @@ let test_cli_degenerate_exit2 () =
       (run_cli "census -a Strassen -n 8 --cutoff 4");
     (* a BFS depth beyond the recursion falls back to round-robin *)
     Alcotest.(check int) "exit 0: cosma deeper than the CDAG" 0
-      (run_cli "cosma -n 4 -p 60")
+      (run_cli "cosma -n 4 -p 60");
+    (* a cache far larger than the CDAG: the schedulers' state is sized
+       by the vertices, not by the cache *)
+    List.iter
+      (fun args -> Alcotest.(check int) ("exit 0: " ^ args) 0 (run_cli args))
+      [ "census -a Strassen -n 16 -m 1099511627776 --analyze"; "simulate -n 8 -m 1099511627776" ]
   end
 
 let with_temp f =

@@ -644,6 +644,18 @@ let test_sweep_alloc () =
     Alcotest.failf "implicit_order_liveness allocates %.0f words for %d vertices" words
       (Im.n_vertices imp)
 
+(* the streamed LRU run allocates its slot table, index and bitsets
+   once; no event allocates *)
+let test_stream_alloc () =
+  let imp = Im.create strassen ~n:32 in
+  let counters = ref None in
+  let words =
+    minor_words_of (fun () -> counters := Some (SE.run_lru imp ~cache_size:256 ()))
+  in
+  check Alcotest.bool "run finished" true (Option.is_some !counters);
+  if words >= 1000. then
+    Alcotest.failf "Stream_exec.run_lru at n = 32, M = 256 allocates %.0f minor words" words
+
 (* --- one view, two domains ---
 
    [Implicit.t] is immutable and its queries keep no hidden state, so
@@ -703,6 +715,7 @@ let () =
         [
           Alcotest.test_case "allocation-free queries" `Quick test_alloc_free_queries;
           Alcotest.test_case "liveness sweep" `Quick test_sweep_alloc;
+          Alcotest.test_case "streamed LRU" `Quick test_stream_alloc;
         ] );
       ( "domains",
         [ Alcotest.test_case "shared view" `Quick test_shared_view ] );

@@ -247,6 +247,37 @@ let test_table_formatters () =
   Alcotest.(check bool) "fmt_sci has e" true
     (String.contains (T.fmt_sci 123456.0) 'e')
 
+(* the open-addressing int table against Hashtbl: random binds,
+   increments and removals over a key range wide enough to collide,
+   through several growths *)
+let test_int_table () =
+  let module It = Fmm_util.Int_table in
+  let rng = P.create ~seed:11 in
+  let t = It.create 4 and reference = Hashtbl.create 16 in
+  let find k = try It.find t k with Not_found -> -1 in
+  for _ = 1 to 20_000 do
+    let k = P.int rng 600 in
+    (match P.int rng 4 with
+    | 0 ->
+      let v = P.int rng 1000 in
+      It.replace t k v;
+      Hashtbl.replace reference k v
+    | 1 ->
+      It.incr t k;
+      Hashtbl.replace reference k (1 + Option.value ~default:0 (Hashtbl.find_opt reference k))
+    | _ ->
+      Alcotest.(check int) "take" (Option.value ~default:0 (Hashtbl.find_opt reference k))
+        (It.take t k);
+      Hashtbl.remove reference k)
+  done;
+  for k = 0 to 599 do
+    Alcotest.(check int) "find" (Option.value ~default:(-1) (Hashtbl.find_opt reference k)) (find k)
+  done;
+  Alcotest.(check int) "negative keys are absent" 0 (It.take t (-1));
+  Alcotest.check_raises "find of a negative key" Not_found (fun () -> ignore (It.find t (-3)));
+  Alcotest.check_raises "negative key" (Invalid_argument "Int_table.replace: negative key")
+    (fun () -> It.replace t (-2) 0)
+
 let qc = QCheck_alcotest.to_alcotest
 
 let () =
@@ -273,6 +304,7 @@ let () =
           Alcotest.test_case "fold_range" `Quick test_fold_range;
           Alcotest.test_case "vec" `Quick test_vec_ops;
           Alcotest.test_case "prng copy" `Quick test_prng_copy_independent;
+          Alcotest.test_case "int table" `Quick test_int_table;
         ] );
       ( "prng",
         [
